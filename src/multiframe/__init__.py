@@ -22,8 +22,11 @@ from .geometry import (
     project,
     project_orthographic,
     project_perspective,
+    projection_matrix,
     ray_through,
+    rays_through,
     triangulate_midpoint,
+    triangulate_midpoints,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +51,10 @@ __all__ = [
     "project",
     "project_orthographic",
     "project_perspective",
+    "projection_matrix",
     "ray_through",
+    "rays_through",
     "triangulate_midpoint",
+    "triangulate_midpoints",
     "verdict_table",
 ]

@@ -35,13 +35,6 @@ def vec2(u, v) -> Vec2:
     return np.array([u, v], dtype=float)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise InputError("zero vector has no direction")
-    return v / n
-
-
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """Proper rotation: 3x3 orthonormal matrix with determinant +1."""
@@ -247,17 +240,80 @@ def project(p: Vec3, pose: CameraPose) -> Vec2:
     return project_perspective(p, pose)
 
 
-def ray_through(image: Vec2, pose: CameraPose) -> Ray:
-    """Viewing ray of an image point.
+def projection_matrix(pose: CameraPose) -> np.ndarray:
+    """3x4 homogeneous projector ``P`` of a camera: ``P @ (p, 1)`` images ``p``.
+
+    The image of a point ``p`` is ``x[:2] / x[2]`` with ``x = P @ (p, 1)``;
+    ``P @ (d, 0)`` is the vanishing point of direction ``d``.  The last row
+    of a perspective projector is the plane normal oriented away from the
+    focal point, so ``x[2]`` is the depth of ``p`` (negative behind the
+    camera).  An orthographic projector has last row ``(0, 0, 0, 1)``.
+    """
+    u, v = pose.basis_u, pose.basis_v
+    if pose.is_orthographic:
+        return np.array(
+            [[*u, -(u @ pose.origin)], [*v, -(v @ pose.origin)], [0.0, 0.0, 0.0, 1.0]]
+        )
+    f = pose.focal
+    n = pose.normal
+    plane_d = float((pose.origin - f) @ n)
+    if plane_d < 0:
+        n = -n
+        plane_d = -plane_d
+    # depth * image = m @ (p - f), with depth = n . (p - f)
+    off = f - pose.origin
+    m = np.array([plane_d * u + (off @ u) * n, plane_d * v + (off @ v) * n, n])
+    return np.column_stack([m, -(m @ f)])
+
+
+def rays_through(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
+    """Viewing rays of ``(n, 2)`` image points: ``(n, 3)`` origins and unit directions.
 
     Perspective: from the focal point through the plane point.
     Orthographic: through the plane point along the plane normal (the
     focal point shifted to infinity).
     """
-    q = pose.plane_point(image)
+    img = np.asarray(images, dtype=float).reshape(-1, 2)
+    q = pose.origin + img[:, :1] * pose.basis_u + img[:, 1:] * pose.basis_v
     if pose.is_orthographic:
-        return Ray(q, _unit(pose.normal))
-    return Ray(pose.focal, _unit(q - pose.focal))
+        n = pose.normal
+        return q, np.broadcast_to(n / np.linalg.norm(n), q.shape)
+    d = q - pose.focal
+    return np.broadcast_to(pose.focal, q.shape), d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def ray_through(image: Vec2, pose: CameraPose) -> Ray:
+    """Viewing ray of one image point (see :func:`rays_through`)."""
+    origins, directions = rays_through(image, pose)
+    return Ray(origins[0], directions[0])
+
+
+def triangulate_midpoints(
+    o1: np.ndarray, d1: np.ndarray, o2: np.ndarray, d2: np.ndarray, *, tol: Tolerances = TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise midpoints of the shortest segments joining two sets of rays.
+
+    Rows of the ``(n, 3)`` arrays ``o1, d1`` and ``o2, d2`` are ray origins
+    and unit directions.  Returns ``(n, 3)`` midpoints, ``(n,)`` gaps (the
+    segment lengths, zero for intersecting rays) and an ``(n,)`` mask of
+    pairs parallel within ``tol.ray_parallel`` (sine of the angle), whose
+    midpoints and gaps are NaN.
+    """
+    n = np.cross(d1, d2)
+    n2 = np.einsum("ij,ij->i", n, n)
+    parallel = np.sqrt(n2) < tol.ray_parallel
+    w = o2 - o1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Cramer's rule: t1 = det[w, d2, n] / |n|^2, t2 = det[w, d1, n] / |n|^2
+        t1 = np.einsum("ij,ij->i", w, np.cross(d2, n)) / n2
+        t2 = np.einsum("ij,ij->i", w, np.cross(d1, n)) / n2
+    p1 = o1 + t1[:, None] * d1
+    p2 = o2 + t2[:, None] * d2
+    mid = (p1 + p2) / 2.0
+    gap = np.linalg.norm(p1 - p2, axis=1)
+    mid[parallel] = np.nan
+    gap[parallel] = np.nan
+    return mid, gap, parallel
 
 
 def triangulate_midpoint(
@@ -269,18 +325,12 @@ def triangulate_midpoint(
     ``tol.ray_parallel`` (sine of the angle) raise
     :class:`DegenerateTriangulation`.
     """
-    d1, d2 = r1.direction, r2.direction
-    n = np.cross(d1, d2)
-    n2 = float(n @ n)
-    if np.sqrt(n2) < tol.ray_parallel:
+    mid, gap, parallel = triangulate_midpoints(
+        r1.origin[None], r1.direction[None], r2.origin[None], r2.direction[None], tol=tol
+    )
+    if parallel[0]:
         raise DegenerateTriangulation("rays are parallel within tolerance")
-    w = r2.origin - r1.origin
-    t1 = float(np.linalg.det(np.column_stack([w, d2, n]))) / n2
-    t2 = float(np.linalg.det(np.column_stack([w, d1, n]))) / n2
-    p1 = r1.point_at(t1)
-    p2 = r2.point_at(t2)
-    gap = float(np.linalg.norm(p1 - p2))
-    return (p1 + p2) / 2.0, gap
+    return mid[0], float(gap[0])
 
 
 def best_fit_rotation(src: np.ndarray, dst: np.ndarray) -> tuple[Rotation, float]:

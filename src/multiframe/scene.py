@@ -303,33 +303,36 @@ def _curve_tangency_warnings(dataset: MultiframeDataset) -> list[str]:
         return out
     # epipolar direction at a sample ~ direction of the projected baseline;
     # compare against the local curve tangent in every non-reference frame
-    from .curves import epipolar_line  # local import to avoid a cycle
+    from .curves import epipolar_lines  # local import to avoid a cycle
 
     ref_curves = {c["id"]: c["samples"] for c in dataset.frames[0].curves}
     pose_ref = truth_poses(dataset, 0)
     for f in dataset.frames[1:]:
-        pose_i = truth_poses(dataset, f.id - 1)
-        for c in f.curves:
-            s = c["samples"]
-            ref = ref_curves.get(c["id"])
-            if ref is None or len(s) < 3 or len(ref) != len(s):
-                continue
-            for j in range(len(s) - 1):
-                tangent = s[j + 1] - s[j]
-                nt = np.linalg.norm(tangent)
-                if nt < 1e-12:
-                    continue
-                try:
-                    line = epipolar_line(ref[j], pose_ref, pose_i)
-                except Exception:
-                    continue
-                d = line.direction
-                sin = abs(tangent[0] * d[1] - tangent[1] * d[0]) / nt
-                if sin < 1e-4:
-                    out.append(
-                        f"frame {f.id}: curve {c['id']!r} near epipolar tangency at sample {j}"
-                    )
-                    break
+        pairs = [
+            (c["id"], ref_curves[c["id"]], c["samples"])
+            for c in f.curves
+            if c["id"] in ref_curves
+            and len(c["samples"]) >= 3
+            and len(ref_curves[c["id"]]) == len(c["samples"])
+        ]
+        if not pairs:
+            continue
+        _, dirs, degenerate = epipolar_lines(
+            np.concatenate([ref[:-1] for _, ref, _ in pairs]),
+            pose_ref,
+            truth_poses(dataset, f.id - 1),
+        )
+        bounds = np.cumsum([len(s) - 1 for _, _, s in pairs])[:-1]
+        for (cid, _, s), d, bad in zip(pairs, np.split(dirs, bounds), np.split(degenerate, bounds)):
+            tangent = np.diff(s, axis=0)
+            nt = np.linalg.norm(tangent, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sin = np.abs(tangent[:, 0] * d[:, 1] - tangent[:, 1] * d[:, 0]) / nt
+            near = np.flatnonzero((nt >= 1e-12) & ~bad & (sin < 1e-4))
+            if near.size:
+                out.append(
+                    f"frame {f.id}: curve {cid!r} near epipolar tangency at sample {near[0]}"
+                )
     return out
 
 

@@ -6,6 +6,7 @@ from multiframe.curves import (
     TransferGap,
     curves_from_dataset,
     epipolar_line,
+    epipolar_lines,
     lift_curve,
     transfer_point,
 )
@@ -26,6 +27,11 @@ def arc_dataset(seed, n_samples=100):
     script = random_motion_script(seed + 1, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
     ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
     return ds, scene
+
+
+def line_distance(q, point, direction):
+    off = np.asarray(q) - point
+    return abs(off[0] * direction[1] - off[1] * direction[0])
 
 
 def scene_diameter(scene):
@@ -85,6 +91,71 @@ class TestEpipolarLine:
         with pytest.raises(DegenerateGeometry):
             epipolar_line(vec2(0, 0), pose1, pose2)
 
+    def test_ray_near_parallel_to_second_focal_plane(self):
+        # the ray through (u, 0.1) meets the plane x = 3 of the second
+        # focal point only at depth ~1/u: its vanishing point is far away
+        pose1 = CameraPose.canonical_perspective()
+        c, s = np.cos(0.7), np.sin(0.7)
+        pose2 = CameraPose(vec3(2, 0, 3), vec3(0, s, -c), vec3(0, c, s), vec3(3, 0, 3))
+        for u in (1e-2, 1e-4, 1e-6, 1e-8):
+            line = epipolar_line(vec2(u, 0.1), pose1, pose2)
+            image = project(3.0 * vec3(u, 0.1, 1.0), pose2)
+            assert line_distance(image, line.point, line.direction) < 1e-10
+
+    def test_ray_parallel_to_focal_plane_behind_camera_masked(self):
+        # orthographic rays run along +z; the second camera looks along +x
+        # from the origin, so every ray is parallel to its focal plane x = 0
+        pose1 = CameraPose.canonical_orthographic()
+        pose2 = CameraPose(vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1), vec3(0, 0, 0))
+        samples = np.array([[0.5, 0.2], [-0.5, 0.2], [0.0, 0.2]])
+        points, directions, degenerate = epipolar_lines(samples, pose1, pose2)
+        assert degenerate.tolist() == [False, True, True]
+        image = project(vec3(0.5, 0.2, 3.0), pose2)
+        assert line_distance(image, points[0], directions[0]) < 1e-12
+        for d1 in samples[1:]:
+            with pytest.raises(DegenerateGeometry):
+                epipolar_line(d1, pose1, pose2)
+
+    @pytest.mark.parametrize("regime", ["perspective", "orthographic"])
+    def test_batched_lines_match_one_row_calls(self, regime):
+        if regime == "perspective":
+            ds, _ = arc_dataset(9, n_samples=40)
+            pose1, pose2 = truth_poses(ds, 0), truth_poses(ds, 1)
+            samples = ds.frames[0].curves[0]["samples"]
+        else:
+            pose1 = CameraPose.canonical_orthographic()
+            pose2 = CameraPose(
+                vec3(0, 0, 0), vec3(np.cos(0.4), 0, -np.sin(0.4)), vec3(0, 1, 0), None
+            )
+            samples = np.random.default_rng(9).uniform(-2.0, 2.0, size=(40, 2))
+        points, directions, degenerate = epipolar_lines(samples, pose1, pose2)
+        assert points.shape == directions.shape == (len(samples), 2)
+        assert not degenerate.any()
+        for k, d1 in enumerate(samples):
+            line = epipolar_line(d1, pose1, pose2)
+            sin = line_distance(directions[k], np.zeros(2), line.direction)
+            assert sin < 1e-12
+            assert line_distance(points[k], line.point, line.direction) < 1e-12
+
+    def test_batched_mask_matches_one_row_raises(self):
+        pose1 = CameraPose.canonical_perspective()
+        pose2 = CameraPose(
+            vec3(0, 0, 2.5), vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1.5)
+        )
+        samples = np.array(
+            [[0.0, 0.0], [1e-12, 0.0], [0.0, -1e-11], [1e-3, 0.0], [0.3, -0.2], [0.0, 0.0]]
+        )
+        _, _, degenerate = epipolar_lines(samples, pose1, pose2)
+        raised = []
+        for d1 in samples:
+            try:
+                epipolar_line(d1, pose1, pose2)
+                raised.append(False)
+            except DegenerateGeometry:
+                raised.append(True)
+        assert degenerate.tolist() == raised
+        assert degenerate.tolist() == [True, True, True, False, False, True]
+
 
 class TestTransferPoint:
     def make_line(self, point, direction):
@@ -122,6 +193,29 @@ class TestTransferPoint:
         line = self.make_line([1.0 + 5e-7, -1.0], [0.0, 1.0])
         hit = transfer_point(line, curve, 0.0, scale=1.0)
         assert np.allclose(hit.point, [1.0, 0.0], atol=1e-6)
+
+    def test_vertex_duplicates_keep_earliest_in_arc_order(self):
+        # the line runs 0.4 band left of the corner: segment 0 crosses at
+        # arc 1 - 0.4 band, the vertical segment 1 rides the line (a tangent
+        # hit at arc 1); the later, tangent duplicate is dropped
+        band = 1e-6
+        curve = ImageCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+        line = self.make_line([1.0 - 0.4 * band, -1.0], [0.0, 1.0])
+        hit = transfer_point(line, curve, 0.0, scale=1.0)
+        assert hit.segment == 0 and not hit.tangent
+        assert np.isclose(hit.arc_pos, 1.0 - 0.4 * band, rtol=0, atol=1e-15)
+        # the dropped duplicate at arc 1 would be admissible here; the kept
+        # one is not
+        with pytest.raises(TransferGap):
+            transfer_point(line, curve, 1.0 + 0.8 * band, scale=1.0)
+
+    def test_crossing_within_band_before_previous_match_admitted(self):
+        curve = ImageCurve(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        line = self.make_line([1.0, -1.0], [0.0, 1.0])
+        hit = transfer_point(line, curve, 1.0 + 0.5e-6, scale=1.0)
+        assert np.allclose(hit.point, [1.0, 0.0])
+        with pytest.raises(TransferGap):
+            transfer_point(line, curve, 1.0 + 2e-6, scale=1.0)
 
     def test_generator_sweep_matches_truth(self):
         # consecutive sweep: every transfer lands on the matching vertex

@@ -14,10 +14,14 @@ from multiframe.geometry import (
     apply_motion,
     best_fit_motion,
     best_fit_rotation,
+    project,
     project_orthographic,
     project_perspective,
+    projection_matrix,
     ray_through,
+    rays_through,
     triangulate_midpoint,
+    triangulate_midpoints,
     vec2,
     vec3,
 )
@@ -202,6 +206,25 @@ class TestRayThrough:
                 assert np.allclose(back, img, atol=1e-10)
 
 
+class TestProjectionMatrix:
+    @pytest.mark.parametrize("kind", ["behind", "ahead", "orthographic"])
+    def test_homogeneous_image_matches_project(self, kind):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            pose = random_pose(rng, perspective=kind != "orthographic")
+            if kind == "ahead":
+                # focal point on the other side of the plane: normal flips
+                pose = CameraPose(
+                    pose.origin, pose.basis_u, pose.basis_v, 2 * pose.origin - pose.focal
+                )
+            proj = projection_matrix(pose)
+            origins, dirs = rays_through(rng.normal(size=(5, 2)), pose)
+            for p in origins + rng.uniform(0.5, 3.0, size=(5, 1)) * dirs:
+                x = proj @ np.append(p, 1.0)
+                assert x[2] > 0
+                assert np.allclose(x[:2] / x[2], project(p, pose), atol=1e-10)
+
+
 class TestTriangulateMidpoint:
     def test_intersecting_rays_recover_common_point(self):
         p = vec3(1, 2, 3)
@@ -235,6 +258,20 @@ class TestTriangulateMidpoint:
             d2p /= np.linalg.norm(d2p)
             _, gap = triangulate_midpoint(Ray(o1, d1), Ray(o2, d2p))
             assert gap <= 1e-7 * max(1.0, np.linalg.norm(p - o2))
+
+    def test_batched_rows_match_one_row_calls(self):
+        rng = np.random.default_rng(15)
+        o1, o2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        d1, d2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        d2[3] = -d1[3]  # parallel pair
+        d1 /= np.linalg.norm(d1, axis=1, keepdims=True)
+        d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
+        mid, gap, parallel = triangulate_midpoints(o1, d1, o2, d2)
+        assert parallel.tolist() == [False, False, False, True, False, False]
+        assert np.all(np.isnan(mid[3])) and np.isnan(gap[3])
+        for k in (0, 1, 2, 4, 5):
+            point, g = triangulate_midpoint(Ray(o1[k], d1[k]), Ray(o2[k], d2[k]))
+            assert np.allclose(mid[k], point, atol=1e-12) and np.isclose(gap[k], g)
 
     def test_parallel_rays_rejected(self):
         r1 = Ray(vec3(0, 0, 0), vec3(1, 0, 0))

@@ -6,6 +6,7 @@ from multiframe.dof import Regime
 from multiframe.errors import GenerationError, InputError, ParseError
 from multiframe.geometry import RigidMotion, Rotation, project, vec3
 from multiframe.scene import (
+    CurveSpec,
     MotionScript,
     MultiframeDataset,
     NoiseSpec,
@@ -245,6 +246,28 @@ class TestValidation:
         )
         warnings = validate_general_position(ds)
         assert any("project together" in w for w in warnings)
+
+    def test_curve_along_epipolar_plane_flagged(self):
+        # the second camera sits 1.5 along +x, so the baseline is the x axis
+        # and the run of samples with constant (y, z) lies in one epipolar
+        # plane; the hook leaves it
+        run = np.stack(
+            [np.linspace(-0.3, 0.3, 20), np.full(20, 0.2), np.full(20, 3.0)], axis=1
+        )
+        hook = np.stack(
+            [np.full(10, 0.3), np.linspace(0.25, 0.7, 10), np.full(10, 3.0)], axis=1
+        )
+        samples = np.concatenate([run, hook])
+        scene = SceneSpec(
+            {"a": samples[0], "b": samples[-1], "c": vec3(0, -0.5, 3.5)},
+            [CurveSpec("run", samples, ("a", "b"))],
+        )
+        script = MotionScript(
+            motions=[RigidMotion.identity(), RigidMotion(Rotation.identity(), vec3(-1.5, 0, 0))]
+        )
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        warnings = validate_general_position(ds)
+        assert "frame 2: curve 'run' near epipolar tangency at sample 0" in warnings
 
 
 class TestSpecValidation:
