@@ -36,6 +36,16 @@ is ``Tolerances.transfer_band`` times the image scale, ``tangency`` is
 A sample is flagged, not lifted, when its line is degenerate, its match is
 tangent, or its two viewing rays are parallel.  The segment table of curve
 2 is built once per lift, and the matches are triangulated in one batch.
+
+Steps 1 and 2 run on a hit table: for a block of ``k`` lines against all
+``m`` segments, one numpy pass gives the ``(k, m)`` signed offsets, cross
+products, sines, parallel and hit masks, clamped weights and arc positions,
+and one sort orders every row's hits by arc position, ties by segment.  A
+block holds ``k = _TABLE_ENTRIES // m`` lines (at least one), so a table's
+memory stays bounded whatever the sizes of the two curves.  Only steps 3
+and 4 run in Python, once per sample over its few hits, because
+``prev_pos`` moves with every match; it is carried from each block into the
+next.  :func:`transfer_point` is the same code on a one-row block.
 """
 
 from __future__ import annotations
@@ -178,40 +188,74 @@ def _segments(curve: ImageCurve, band: float) -> _Segments:
     return _Segments(s[:-1], vec, length, arc, -band / length, 1.0 + band / length, band)
 
 
-def _transfer(
-    table: _Segments, point, direction, prev_pos: float, tol: Tolerances
-) -> tuple[int, float, float, bool]:
-    """Segment, clamped segment weight, arc position and tangency of the match."""
+# entries of one (k, m) hit table, 32 KB per float table: bounds a lift's
+# memory whatever the sizes of its curves
+_TABLE_ENTRIES = 4096
+# segment codes of a row without a match
+_MISSED = -1  # the line meets no segment
+_BEHIND = -2  # every hit precedes the previous match
+
+
+def _match(
+    table: _Segments, points, directions, prev_pos: float, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Monotone matches of ``(n, 2)`` transfer lines on the polyline.
+
+    Returns per row the matched segment (``_MISSED`` or ``_BEHIND`` without
+    a match), the clamped segment weight, the arc position and the tangency
+    flag.  The sweep starts at ``prev_pos``; every matched row moves it on,
+    across block boundaries too.
+    """
+    n = len(points)
     band = table.band
-    normal = np.array([direction[1], -direction[0]])
-    offset = (table.start - point) @ normal  # signed distance of each first vertex
-    denom = table.vec @ normal  # cross(segment, direction)
-    sin_angle = np.abs(denom) / table.length
-    parallel = sin_angle < tol.tangency
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = -offset / denom
+    segment = np.empty(n, dtype=int)
+    weight = np.zeros(n)
+    arc_pos = np.zeros(n)
+    tangent = np.zeros(n, dtype=bool)
+    prev = prev_pos
+    block = max(1, _TABLE_ENTRIES // len(table.length))
+    for b0 in range(0, n, block):
+        b1 = min(b0 + block, n)
+        p, d = points[b0:b1], directions[b0:b1]
+        nx, ny = d[:, 1:], -d[:, :1]  # (k, 1) line normals
+        # (k, m) tables.  Signed distance of each first vertex: differences
+        # first, as they are exact for nearby points
+        offset = (table.start[:, 0] - p[:, :1]) * nx + (table.start[:, 1] - p[:, 1:]) * ny
+        denom = table.vec[:, 0] * nx + table.vec[:, 1] * ny  # cross(segment, direction)
+        sin_angle = np.abs(denom) / table.length
+        parallel = sin_angle < tol.tangency
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = -offset / denom
         crossing = (w >= table.lo) & (w <= table.hi) & ~parallel
-    # a parallel segment is a hit only when it rides on the line
-    riding = parallel & (np.abs(offset) <= band)
-    hit = (crossing | riding).nonzero()[0]
-    if hit.size == 0:
-        raise TransferGap("transfer line misses the projected curve")
-    # (arc position, segment, clamped weight); sorting ties by segment keeps
-    # the sort stable
-    hits = []
-    for j in hit.tolist():
-        weight = 0.0 if parallel[j] else min(max(float(w[j]), 0.0), 1.0)
-        hits.append((float(table.arc[j] + weight * table.length[j]), j, weight))
-    hits.sort()
-    kept = -np.inf
-    for pos, j, weight in hits:
-        # crossings within ``band`` of the last kept one are duplicates
-        if pos - kept <= band:
-            continue
-        kept = pos
-        if pos >= prev_pos - band:
-            return j, weight, pos, bool(sin_angle[j] < 1e3 * tol.tangency)
-    raise TransferGap("every crossing precedes the previous match")
+        # a parallel segment is a hit only when it rides on the line
+        hit = crossing | (parallel & (np.abs(offset) <= band))
+        clamped = np.where(parallel, 0.0, np.clip(w, 0.0, 1.0))
+        pos = table.arc + clamped * table.length
+        rows, cols = hit.nonzero()
+        hit_pos = pos[rows, cols]
+        # each row's hits by arc position, ties by segment
+        order = np.lexsort((cols, hit_pos, rows))
+        first = np.searchsorted(rows, np.arange(b1 - b0 + 1)).tolist()  # rows stay sorted
+        hit_pos = hit_pos[order].tolist()
+        hit_seg = cols[order].tolist()
+        for r in range(b1 - b0):
+            seg = _MISSED if first[r] == first[r + 1] else _BEHIND
+            kept = -np.inf
+            for h in range(first[r], first[r + 1]):
+                # hits within ``band`` of the last kept one are duplicates
+                if hit_pos[h] - kept <= band:
+                    continue
+                kept = hit_pos[h]
+                if kept >= prev - band:
+                    seg = hit_seg[h]
+                    arc_pos[b0 + r] = prev = kept
+                    break
+            segment[b0 + r] = seg
+        found = (segment[b0:b1] >= 0).nonzero()[0]
+        at = segment[b0 + found]
+        weight[b0 + found] = clamped[found, at]
+        tangent[b0 + found] = sin_angle[found, at] < 1e3 * tol.tangency
+    return segment, weight, arc_pos, tangent
 
 
 def transfer_point(
@@ -228,8 +272,17 @@ def transfer_point(
     raises :class:`TransferGap`.
     """
     table = _segments(curve2, tol.transfer_band * scale)
-    j, weight, pos, tangent = _transfer(table, line.point, line.direction, prev_pos, tol)
-    return TransferHit(table.start[j] + weight * table.vec[j], pos, j, tangent)
+    segment, weight, arc_pos, tangent = _match(
+        table, np.reshape(line.point, (1, 2)), np.reshape(line.direction, (1, 2)), prev_pos, tol
+    )
+    j = int(segment[0])
+    if j == _MISSED:
+        raise TransferGap("transfer line misses the projected curve")
+    if j == _BEHIND:
+        raise TransferGap("every crossing precedes the previous match")
+    return TransferHit(
+        table.start[j] + weight[0] * table.vec[j], float(arc_pos[0]), j, bool(tangent[0])
+    )
 
 
 def lift_curve(
@@ -258,38 +311,27 @@ def lift_curve(
     )
     table = _segments(curve2, tol.transfer_band * scale)
     points, directions, degenerate = epipolar_lines(curve1.samples, pose1, pose2, tol=tol)
-    matches = []
-    kept: list[int] = []
-    holes: list[int] = []
-    flagged: list[int] = []
-    prev = 0.0
-    for i in range(len(points)):
-        if degenerate[i]:
-            flagged.append(i)
-            continue
-        try:
-            j, weight, prev, tangent = _transfer(table, points[i], directions[i], prev, tol)
-        except TransferGap:
-            holes.append(i)
-            continue
-        if tangent:
-            flagged.append(i)
-            continue
-        matches.append(table.start[j] + weight * table.vec[j])
-        kept.append(i)
-    kept_at = np.array(kept, dtype=int)
-    matches2 = np.array(matches).reshape(-1, 2)
+    live = (~degenerate).nonzero()[0]
+    segment, weight, _, tangent = _match(table, points[live], directions[live], 0.0, tol)
+    matched = segment >= 0
+    lifted = matched & ~tangent
+    kept_at = live[lifted]
+    j = segment[lifted]
+    matches2 = table.start[j] + weight[lifted, None] * table.vec[j]
     p3, gaps, parallel = triangulate_midpoints(
         *rays_through(curve1.samples[kept_at], pose1), *rays_through(matches2, pose2), tol=tol
     )
+    flagged = degenerate.copy()
+    flagged[live[matched & tangent]] = True
+    flagged[kept_at[parallel]] = True
     good = ~parallel
     return SpaceCurve(
         p3[good],
         gaps[good],
         kept_at[good].tolist(),
         matches2[good],
-        holes,
-        sorted(flagged + kept_at[parallel].tolist()),
+        live[~matched].tolist(),
+        flagged.nonzero()[0].tolist(),
     )
 
 

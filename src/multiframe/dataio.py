@@ -9,6 +9,14 @@ Top-level keys: ``regime``, ``frames`` (each with ``id``, ``points``,
 ``curves``, optional ``epipoles``), optional ``truth`` (``points3d`` plus
 ``motions`` with row-major rotations, or ``poses``; optional ``curves3d``)
 and optional ``noise`` metadata.
+
+A sample list (``frames[*].curves[*].samples``, ``truth.curves3d[*].samples``)
+is converted to one array and checked whole: a list of ``dim``-vectors with
+finite entries.  Only a list that fails the check is walked row by row, to
+name the first bad row (``frames[0].curves[0].samples[3]: non-numeric
+entry``).  Entries are parsed as ``float()`` parses them, so numeric strings
+and booleans are accepted.  Every malformed input raises :class:`ParseError`
+naming its location.
 """
 
 from __future__ import annotations
@@ -140,80 +148,126 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
     frames = []
     for k, rf in enumerate(raw_frames):
         where = f"frames[{k}]"
-        if not isinstance(rf, dict) or "id" not in rf or "points" not in rf:
-            raise ParseError(f"{where}: each frame needs 'id' and 'points'")
-        pts = {}
-        for lab, uv in rf["points"].items():
-            arr = _parse_vec(uv, 2, f"{where}.points[{lab!r}]")
-            pts[lab] = arr
+        _object(rf, where, "id", "points")
+        pts = {
+            lab: _parse_vec(uv, 2, f"{where}.points[{lab!r}]")
+            for lab, uv in _object(rf["points"], f"{where}.points").items()
+        }
         curves = []
-        for ci, rc in enumerate(rf.get("curves", []) or []):
+        for ci, rc in enumerate(_list(rf.get("curves") or [], f"{where}.curves")):
             cw = f"{where}.curves[{ci}]"
-            if not isinstance(rc, dict) or "id" not in rc or "samples" not in rc:
-                raise ParseError(f"{cw}: each curve needs 'id' and 'samples'")
-            samples = np.array(
-                [_parse_vec(s, 2, f"{cw}.samples[{si}]") for si, s in enumerate(rc["samples"])]
-            )
-            entry = {"id": rc["id"], "samples": samples}
+            _object(rc, cw, "id", "samples")
+            entry = {"id": rc["id"], "samples": _parse_rows(rc["samples"], 2, f"{cw}.samples")}
             if rc.get("endpoints"):
-                entry["endpoints"] = list(rc["endpoints"])
+                entry["endpoints"] = _list(rc["endpoints"], f"{cw}.endpoints")[:]
             curves.append(entry)
         epipoles = None
         if rf.get("epipoles"):
             epipoles = {}
-            for j, uv in rf["epipoles"].items():
+            for j, uv in _object(rf["epipoles"], f"{where}.epipoles").items():
                 try:
                     jj = int(j)
                 except ValueError:
                     raise ParseError(f"{where}.epipoles: frame id {j!r} is not an integer")
                 epipoles[jj] = _parse_vec(uv, 2, f"{where}.epipoles[{j}]")
-        frames.append(FrameObs(int(rf["id"]), pts, curves, epipoles))
+        frames.append(FrameObs(_int(rf["id"], f"{where}.id"), pts, curves, epipoles))
     truth = None
     if "truth" in doc and doc["truth"] is not None:
         truth = _parse_truth(doc["truth"])
     noise = None
     if "noise" in doc and doc["noise"] is not None:
-        n = doc["noise"]
-        noise = NoiseSpec(float(n["sigma"]), int(n.get("seed", 0)))
+        n = _object(doc["noise"], "noise", "sigma")
+        noise = NoiseSpec(_float(n["sigma"], "noise.sigma"), _int(n.get("seed", 0), "noise.seed"))
     return MultiframeDataset(regime, frames, truth, noise)
+
+
+def _object(v, where: str, *keys: str) -> dict:
+    """``v`` as a JSON object holding every key in ``keys``."""
+    if not isinstance(v, dict):
+        raise ParseError(f"{where}: expected an object")
+    for key in keys:
+        if key not in v:
+            raise ParseError(f"{where}: missing {key!r}")
+    return v
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{where}: expected a list")
+    return v
+
+
+def _int(x, where: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: expected an integer") from None
+
+
+def _float(x, where: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: non-numeric entry") from None
+    except OverflowError:  # an integer literal beyond the double range
+        raise ParseError(f"{where}: non-finite entry") from None
 
 
 def _parse_vec(v, dim: int, where: str) -> np.ndarray:
     if not isinstance(v, (list, tuple)) or len(v) != dim:
         raise ParseError(f"{where}: expected a {dim}-vector")
-    try:
-        arr = np.array([float(x) for x in v])
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: non-numeric entry")
-    if not np.all(np.isfinite(arr)):
+    arr = np.array([_float(x, where) for x in v])
+    if not np.isfinite(arr).all():
         raise ParseError(f"{where}: non-finite entry")
     return arr
+
+
+def _parse_rows(rows, dim: int, where: str) -> np.ndarray:
+    """A list of ``dim``-vectors as one ``(n, dim)`` array; ``[]`` gives shape ``(0,)``.
+
+    The list is converted and checked whole.  Only a list that fails the
+    check is walked row by row through :func:`_parse_vec`, which names the
+    first bad row.
+    """
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: expected a list of {dim}-vectors")
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and (arr.shape == (len(rows), dim) or not rows) and np.isfinite(arr).all():
+        return arr
+    # numpy and float() parse entries alike, so this raises; should some
+    # entry parse under float() only, the row-by-row result is the answer
+    return np.array([_parse_vec(r, dim, f"{where}[{i}]") for i, r in enumerate(rows)])
 
 
 def _parse_truth(raw) -> TruthBlock:
     if not isinstance(raw, dict) or "points3d" not in raw:
         raise ParseError("'truth' must be an object with 'points3d'")
     pts = {
-        lab: _parse_vec(p, 3, f"truth.points3d[{lab!r}]") for lab, p in raw["points3d"].items()
+        lab: _parse_vec(p, 3, f"truth.points3d[{lab!r}]")
+        for lab, p in _object(raw["points3d"], "truth.points3d").items()
     }
     motions = None
     if raw.get("motions") is not None:
         motions = []
-        for i, rm in enumerate(raw["motions"]):
-            mat = np.array([float(x) for x in rm["rotation"]], dtype=float)
-            if mat.size != 9:
-                raise ParseError(f"truth.motions[{i}]: rotation must have 9 entries")
+        for i, rm in enumerate(_list(raw["motions"], "truth.motions")):
+            where = f"truth.motions[{i}]"
+            _object(rm, where, "rotation", "translation")
+            mat = _parse_vec(rm["rotation"], 9, f"{where}.rotation")
             motions.append(
                 RigidMotion(
                     Rotation(mat.reshape(3, 3)),
-                    _parse_vec(rm["translation"], 3, f"truth.motions[{i}].translation"),
+                    _parse_vec(rm["translation"], 3, f"{where}.translation"),
                 )
             )
     poses = None
     if raw.get("poses") is not None:
         poses = []
-        for i, rp in enumerate(raw["poses"]):
+        for i, rp in enumerate(_list(raw["poses"], "truth.poses")):
             where = f"truth.poses[{i}]"
+            _object(rp, where, "origin", "basis_u", "basis_v")
             focal = None
             if rp.get("focal") is not None:
                 focal = _parse_vec(rp["focal"], 3, f"{where}.focal")
@@ -228,12 +282,10 @@ def _parse_truth(raw) -> TruthBlock:
     curves3d = None
     if raw.get("curves3d"):
         curves3d = []
-        for ci, rc in enumerate(raw["curves3d"]):
-            samples = np.array(
-                [
-                    _parse_vec(s, 3, f"truth.curves3d[{ci}].samples[{si}]")
-                    for si, s in enumerate(rc["samples"])
-                ]
+        for ci, rc in enumerate(_list(raw["curves3d"], "truth.curves3d")):
+            where = f"truth.curves3d[{ci}]"
+            _object(rc, where, "id", "samples")
+            curves3d.append(
+                {"id": rc["id"], "samples": _parse_rows(rc["samples"], 3, f"{where}.samples")}
             )
-            curves3d.append({"id": rc["id"], "samples": samples})
     return TruthBlock(pts, motions, poses, curves3d)

@@ -12,7 +12,14 @@ from multiframe.curves import (
 )
 from multiframe.dof import Regime
 from multiframe.errors import DegenerateGeometry
-from multiframe.geometry import CameraPose, project, vec2, vec3
+from multiframe.geometry import (
+    CameraPose,
+    project,
+    ray_through,
+    triangulate_midpoint,
+    vec2,
+    vec3,
+)
 from multiframe.scene import (
     MotionScript,
     random_arc_scene,
@@ -356,3 +363,64 @@ class TestLiftCurve:
         assert len(common) >= 55
         for i in common:
             assert np.linalg.norm(o_by_idx[i] - p_by_idx[i]) < 1e-4 * diam
+
+
+class TestBlockBoundaries:
+    """The sweep position carries across the blocks of the batched hit table."""
+
+    def wavy_views(self, n=100):
+        # baseline along +x and both image planes parallel to it: transfer
+        # lines are horizontal in image 2 and cross the wave many times
+        pose1 = CameraPose.canonical_perspective()
+        pose2 = CameraPose(vec3(1.5, 0, 1.0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(1.5, 0, 0))
+        # both images show v = y / z, clipped flat at the crests: the flat
+        # start rides the first transfer lines (flagged samples), and image 2
+        # loses the last eight samples (holes)
+        t = np.linspace(0.0, 1.0, n)
+        z = 3.0 + 0.2 * np.cos(3 * t)
+        y = 0.1 * z * np.clip(np.cos(7 * np.pi * t), -0.97, 0.97)
+        samples = np.stack([-0.6 + 1.2 * t, y, z], axis=1)
+        img1 = ImageCurve(np.array([project(p, pose1) for p in samples]))
+        img2 = ImageCurve(np.array([project(p, pose2) for p in samples[:-8]]))
+        return img1, img2, pose1, pose2
+
+    def test_lift_equals_chain_of_one_row_transfers(self):
+        from multiframe.curves import _TABLE_ENTRIES
+
+        img1, img2, pose1, pose2 = self.wavy_views()
+        block = _TABLE_ENTRIES // (len(img2.samples) - 1)  # lines per hit table
+        assert len(img1.samples) > 2 * block
+        scale = max(np.max(np.abs(img1.samples)), np.max(np.abs(img2.samples)))
+        kept, holes, flagged, points = [], [], [], []
+        prev, depends_on_prev = 0.0, 0
+        for i, d1 in enumerate(img1.samples):
+            try:
+                line = epipolar_line(d1, pose1, pose2)
+            except DegenerateGeometry:
+                flagged.append(i)
+                continue
+            try:
+                hit = transfer_point(line, img2, prev, scale=scale)
+            except TransferGap:
+                holes.append(i)
+                continue
+            if i >= block and transfer_point(line, img2, 0.0, scale=scale).segment != hit.segment:
+                depends_on_prev += 1
+            prev = hit.arc_pos
+            if hit.tangent:
+                flagged.append(i)
+                continue
+            try:
+                p, _ = triangulate_midpoint(ray_through(d1, pose1), ray_through(hit.point, pose2))
+            except DegenerateGeometry:
+                flagged.append(i)
+                continue
+            kept.append(i)
+            points.append(p)
+        # later blocks see several crossings, and the carried position picks one
+        assert depends_on_prev > 10
+        lifted = lift_curve(img1, img2, pose1, pose2)
+        assert lifted.source_indices == kept
+        assert lifted.holes == holes
+        assert lifted.flagged == flagged
+        assert np.max(np.abs(lifted.points - np.array(points))) < 1e-12

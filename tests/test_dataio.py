@@ -1,0 +1,251 @@
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multiframe.dataio import _parse_vec, read_dataset, write_dataset
+from multiframe.dof import Regime
+from multiframe.errors import ParseError
+from multiframe.scene import (
+    NoiseSpec,
+    add_noise,
+    random_arc_scene,
+    random_cloud_scene,
+    random_motion_script,
+    render,
+)
+
+BASE = {
+    "regime": "perspective_calibrated",
+    "frames": [
+        {
+            "id": 0,
+            "points": {"a": [0.125, -0.5]},
+            "curves": [
+                {
+                    "id": "arc",
+                    "samples": [[0.0, 0.0], [0.1, 0.0], [0.2, 0.1], [0.3, 0.3], [0.4, 0.6]],
+                }
+            ],
+        }
+    ],
+    "truth": {
+        "points3d": {"a": [0.25, -1.0, 2.0]},
+        "motions": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}],
+        "curves3d": [
+            {"id": "arc", "samples": [[0.0, 0.0, 2.0], [0.2, 0.0, 2.0], [0.4, 0.2, 2.0]]}
+        ],
+    },
+    "noise": {"sigma": 0.0, "seed": 1},
+}
+
+# a JSON number literal no double holds; ``dumps`` writes the placeholder
+# string, which is then replaced by the bare literal
+HUGE_FLOAT = "1e400"
+HUGE_INT = "1" + "0" * 400
+
+
+def dumps(doc, literal=None) -> bytes:
+    text = json.dumps(doc)
+    if literal is not None:
+        text = text.replace('"@LITERAL@"', literal)
+    return text.encode()
+
+
+DELETE = object()
+
+
+def edited(path, value):
+    """A copy of ``BASE`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    doc = copy.deepcopy(BASE)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+SAMPLE = ("frames", 0, "curves", 0, "samples")
+SAMPLE3 = ("truth", "curves3d", 0, "samples")
+
+
+def parse_error(doc, literal=None) -> str:
+    with pytest.raises(ParseError) as info:
+        read_dataset(dumps(doc, literal))
+    return str(info.value)
+
+
+class TestSampleErrors:
+    """Each bad sample is named by its row, exactly as the row-by-row parser names it."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (["x", 0.9], "non-numeric entry"),
+            ([None, 0.9], "non-numeric entry"),
+            ([[0.5], 0.9], "non-numeric entry"),
+            (None, "expected a 2-vector"),
+            ([0.5], "expected a 2-vector"),
+            ([0.5, 0.9, 1.0], "expected a 2-vector"),
+            ({"u": 0.5, "v": 0.9}, "expected a 2-vector"),
+            ([float("nan"), 0.9], "non-finite entry"),
+            ([float("inf"), 0.9], "non-finite entry"),
+            (["nan", 0.9], "non-finite entry"),
+        ],
+    )
+    def test_bad_curve_sample(self, row, message):
+        doc = edited((*SAMPLE, 3), row)
+        assert parse_error(doc) == f"frames[0].curves[0].samples[3]: {message}"
+
+    def test_out_of_range_literal_is_non_finite(self):
+        doc = edited((*SAMPLE, 3), [0.5, "@LITERAL@"])
+        assert parse_error(doc, HUGE_FLOAT) == "frames[0].curves[0].samples[3]: non-finite entry"
+
+    def test_first_bad_row_is_named(self):
+        doc = edited((*SAMPLE, 1), ["x", 0.0])
+        doc["frames"][0]["curves"][0]["samples"][4] = [0.0]
+        assert parse_error(doc) == "frames[0].curves[0].samples[1]: non-numeric entry"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 1.0], "expected a 3-vector"),
+            ([0.0, 1.0, 2.0, 3.0], "expected a 3-vector"),
+            ([0.0, "y", 2.0], "non-numeric entry"),
+            ([0.0, 1.0, float("-inf")], "non-finite entry"),
+        ],
+    )
+    def test_bad_truth_curve_sample(self, row, message):
+        doc = edited((*SAMPLE3, 2), row)
+        assert parse_error(doc) == f"truth.curves3d[0].samples[2]: {message}"
+
+
+class TestSampleAcceptance:
+    def test_numeric_strings_and_booleans(self):
+        doc = edited((*SAMPLE, 1), ["0.25", True])
+        doc["truth"]["curves3d"][0]["samples"][0] = [False, " 1.5 ", 2]
+        ds = read_dataset(dumps(doc))
+        samples = ds.frames[0].curves[0]["samples"]
+        assert samples.dtype == np.float64 and samples.shape == (5, 2)
+        assert samples[1].tolist() == [0.25, 1.0]
+        assert ds.truth.curves3d[0]["samples"][0].tolist() == [0.0, 1.5, 2.0]
+
+    def test_empty_sample_list(self):
+        doc = edited(SAMPLE, [])
+        doc["truth"]["curves3d"].append({"id": "empty", "samples": []})
+        ds = read_dataset(dumps(doc))
+        for samples in (ds.frames[0].curves[0]["samples"], ds.truth.curves3d[1]["samples"]):
+            assert samples.dtype == np.float64 and samples.shape == (0,)
+
+    def test_samples_are_float_arrays(self):
+        ds = read_dataset(dumps(BASE))
+        samples = ds.frames[0].curves[0]["samples"]
+        assert samples.dtype == np.float64 and samples.flags.c_contiguous
+        assert samples.tolist() == BASE["frames"][0]["curves"][0]["samples"]
+
+
+class TestMalformedInput:
+    """Malformed input raises ParseError naming its location, never another exception."""
+
+    def test_samples_not_a_list(self):
+        doc = edited(SAMPLE, 5)
+        assert parse_error(doc) == "frames[0].curves[0].samples: expected a list of 2-vectors"
+
+    def test_points_not_an_object(self):
+        doc = edited(("frames", 0, "points"), [1, 2])
+        assert parse_error(doc) == "frames[0].points: expected an object"
+
+    def test_frame_id_not_an_integer(self):
+        doc = edited(("frames", 0, "id"), "x")
+        assert parse_error(doc) == "frames[0].id: expected an integer"
+
+    def test_noise_without_sigma(self):
+        doc = edited(("noise",), {"seed": 1})
+        assert parse_error(doc) == "noise: missing 'sigma'"
+
+    def test_motion_without_rotation(self):
+        doc = edited(("truth", "motions", 0, "rotation"), DELETE)
+        assert parse_error(doc) == "truth.motions[0]: missing 'rotation'"
+
+    def test_truth_curve_without_samples(self):
+        doc = edited(("truth", "curves3d", 0, "samples"), DELETE)
+        assert parse_error(doc) == "truth.curves3d[0]: missing 'samples'"
+
+    def test_non_numeric_rotation(self):
+        doc = edited(("truth", "motions", 0, "rotation", 0), "a")
+        assert parse_error(doc) == "truth.motions[0].rotation: non-numeric entry"
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ((*SAMPLE, 2, 0), "frames[0].curves[0].samples[2]: non-finite entry"),
+            (("frames", 0, "points", "a", 1), "frames[0].points['a']: non-finite entry"),
+            (
+                ("truth", "motions", 0, "rotation", 4),
+                "truth.motions[0].rotation: non-finite entry",
+            ),
+            ((*SAMPLE3, 1, 2), "truth.curves3d[0].samples[1]: non-finite entry"),
+            (("noise", "sigma"), "noise.sigma: non-finite entry"),
+        ],
+    )
+    def test_huge_integer_literal(self, path, where):
+        doc = edited(path, "@LITERAL@")
+        assert parse_error(doc, HUGE_INT) == where
+
+
+# entries that float() turns into a finite double, as JSON can carry them
+finite = st.floats(allow_nan=False, allow_infinity=False)
+entries = st.one_of(
+    finite,
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+    st.booleans(),
+    finite.map(repr),
+)
+
+
+def row_lists(dim):
+    return st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=30)
+
+
+def row_by_row(rows, dim):
+    return np.array([_parse_vec(r, dim, "") for r in rows])
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=row_lists(2))
+    def test_curve_samples_equal_row_by_row_parse(self, rows):
+        ds = read_dataset(dumps(edited(SAMPLE, rows)))
+        assert same_bits(ds.frames[0].curves[0]["samples"], row_by_row(rows, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=row_lists(3))
+    def test_truth_curve_samples_equal_row_by_row_parse(self, rows):
+        ds = read_dataset(dumps(edited(SAMPLE3, rows)))
+        assert same_bits(ds.truth.curves3d[0]["samples"], row_by_row(rows, 3))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(min_value=1, max_value=2**31 - 2),
+        sigma=st.sampled_from([0.0, 1e-5]),
+        arc=st.booleans(),
+    )
+    def test_write_read_round_trip(self, seed, sigma, arc):
+        if arc:
+            scene = random_arc_scene(seed, n_samples=30)
+        else:
+            scene = random_cloud_scene(seed, n_points=8)
+        script = random_motion_script(seed + 1, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        ds = add_noise(ds, NoiseSpec(sigma, seed))
+        blob = write_dataset(ds)
+        assert write_dataset(read_dataset(blob)) == blob
