@@ -1,6 +1,6 @@
 """Recovery of rigid 3-D structure and motion from multi-frame 2-D projections."""
 
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .dof import (
     DofVerdict,
     FeatureCount,
@@ -43,7 +43,6 @@ __all__ = [
     "apply_motion",
     "best_fit_motion",
     "best_fit_rotation",
-    "default_tolerances",
     "dof_orthographic",
     "dof_perspective_calibrated",
     "dof_uncalibrated",

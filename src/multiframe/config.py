@@ -1,15 +1,12 @@
-"""Numeric tolerance profiles.
+"""Numeric tolerances.
 
 Every tolerance in the package defaults to the values below and can be
-overridden per call where a function accepts a ``tol`` argument.  The
-environment variable ``MULTIFRAME_TOL_PROFILE`` selects the default
-profile (``default``, ``strict`` or ``loose``).
+overridden per call where a function accepts a ``tol`` argument.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,8 +14,6 @@ class Tolerances:
     rotation_orthonormal: float = 1e-9
     unit_vector: float = 1e-12
     ray_parallel: float = 1e-10          # sine of angle between rays
-    projection_roundtrip: float = 1e-10
-    collinear: float = 1e-9
     # ortho3p (relative to the frame scale, see module docs)
     root_clamp: float = 1e-9             # x scale^2
     sign_pattern: float = 1e-7           # x scale
@@ -26,38 +21,9 @@ class Tolerances:
     # persp-epi
     essential_structure: float = 1e-6
     depth_singular: float = 1e-9
-    # uncal4f
-    cone_residual: float = 1e-6
-    angle_converged: float = 1e-8
-    step_converged: float = 1e-12
     # curve-lift
     transfer_band: float = 1e-6          # x scale
     tangency: float = 1e-9               # sine of line/segment angle
-
-
-_PROFILES = {
-    "default": 1.0,
-    "strict": 0.1,
-    "loose": 10.0,
-}
-
-
-def _scaled(factor: float) -> Tolerances:
-    base = Tolerances()
-    return replace(
-        base,
-        **{name: getattr(base, name) * factor for name in base.__dataclass_fields__},
-    )
-
-
-def default_tolerances() -> Tolerances:
-    """Tolerances for the profile named by ``MULTIFRAME_TOL_PROFILE``."""
-    name = os.environ.get("MULTIFRAME_TOL_PROFILE", "default").lower()
-    if name not in _PROFILES:
-        raise ValueError(
-            f"unknown tolerance profile {name!r}; expected one of {sorted(_PROFILES)}"
-        )
-    return _scaled(_PROFILES[name])
 
 
 TOL = Tolerances()

@@ -56,7 +56,7 @@ import numpy as np
 
 from .config import TOL, Tolerances
 from .errors import DegenerateGeometry, InputError
-from .geometry import CameraPose, projection_matrix, rays_through, triangulate_midpoints
+from .geometry import CameraPose, cross, projection_matrix, rays_through, triangulate_midpoints
 # kept in this namespace: perfbench traces curves.triangulate_midpoint
 from .geometry import triangulate_midpoint  # noqa: F401
 
@@ -136,7 +136,7 @@ def epipolar_lines(
     proj = projection_matrix(pose2)
     a = origins @ proj[:, :3].T + proj[:, 3]
     b = dirs @ proj[:, :3].T
-    lines = np.cross(a, b)
+    lines = cross(a, b)
     normal = np.hypot(lines[:, 0], lines[:, 1])
     if pose2.is_orthographic:
         degenerate = np.hypot(b[:, 0], b[:, 1]) < tol.ray_parallel

@@ -11,12 +11,14 @@ Top-level keys: ``regime``, ``frames`` (each with ``id``, ``points``,
 and optional ``noise`` metadata.
 
 A sample list (``frames[*].curves[*].samples``, ``truth.curves3d[*].samples``)
-is converted to one array and checked whole: a list of ``dim``-vectors with
-finite entries.  Only a list that fails the check is walked row by row, to
-name the first bad row (``frames[0].curves[0].samples[3]: non-numeric
-entry``).  Entries are parsed as ``float()`` parses them, so numeric strings
-and booleans are accepted.  Every malformed input raises :class:`ParseError`
-naming its location.
+and the values of a labeled-point object (``frames[*].points``,
+``frames[*].epipoles``, ``truth.points3d``) are converted to one array and
+checked whole: ``dim``-vectors with finite entries.  Only a list or object
+that fails the check is walked row by row, to name the first bad row
+(``frames[0].curves[0].samples[3]: non-numeric entry``,
+``frames[0].points['a']: non-finite entry``).  Entries are parsed as
+``float()`` parses them, so numeric strings and booleans are accepted.
+Every malformed input raises :class:`ParseError` naming its location.
 """
 
 from __future__ import annotations
@@ -149,10 +151,7 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
     for k, rf in enumerate(raw_frames):
         where = f"frames[{k}]"
         _object(rf, where, "id", "points")
-        pts = {
-            lab: _parse_vec(uv, 2, f"{where}.points[{lab!r}]")
-            for lab, uv in _object(rf["points"], f"{where}.points").items()
-        }
+        pts = _parse_labeled(rf["points"], 2, f"{where}.points")
         curves = []
         for ci, rc in enumerate(_list(rf.get("curves") or [], f"{where}.curves")):
             cw = f"{where}.curves[{ci}]"
@@ -163,13 +162,17 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
             curves.append(entry)
         epipoles = None
         if rf.get("epipoles"):
+            raw = _object(rf["epipoles"], f"{where}.epipoles")
+            rows = _finite_rows(list(raw.values()), 2)
             epipoles = {}
-            for j, uv in _object(rf["epipoles"], f"{where}.epipoles").items():
+            for i, (j, uv) in enumerate(raw.items()):
                 try:
                     jj = int(j)
                 except ValueError:
                     raise ParseError(f"{where}.epipoles: frame id {j!r} is not an integer")
-                epipoles[jj] = _parse_vec(uv, 2, f"{where}.epipoles[{j}]")
+                epipoles[jj] = (
+                    rows[i] if rows is not None else _parse_vec(uv, 2, f"{where}.epipoles[{j}]")
+                )
         frames.append(FrameObs(_int(rf["id"], f"{where}.id"), pts, curves, epipoles))
     truth = None
     if "truth" in doc and doc["truth"] is not None:
@@ -222,33 +225,46 @@ def _parse_vec(v, dim: int, where: str) -> np.ndarray:
     return arr
 
 
-def _parse_rows(rows, dim: int, where: str) -> np.ndarray:
-    """A list of ``dim``-vectors as one ``(n, dim)`` array; ``[]`` gives shape ``(0,)``.
+def _finite_rows(rows: list, dim: int) -> np.ndarray | None:
+    """``rows`` as one ``(n, dim)`` array of finite floats, or None if any row fails.
 
-    The list is converted and checked whole.  Only a list that fails the
-    check is walked row by row through :func:`_parse_vec`, which names the
-    first bad row.
+    ``[]`` gives shape ``(0,)``.  A caller that gets None walks the rows
+    through :func:`_parse_vec`, which names the first bad one: numpy and
+    float() parse entries alike, so that walk raises, and should some
+    entry parse under float() only, the walk's result is the answer.
     """
-    if not isinstance(rows, list):
-        raise ParseError(f"{where}: expected a list of {dim}-vectors")
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is not None and (arr.shape == (len(rows), dim) or not rows) and np.isfinite(arr).all():
+        return None
+    if (arr.shape == (len(rows), dim) or not rows) and np.isfinite(arr).all():
         return arr
-    # numpy and float() parse entries alike, so this raises; should some
-    # entry parse under float() only, the row-by-row result is the answer
-    return np.array([_parse_vec(r, dim, f"{where}[{i}]") for i, r in enumerate(rows)])
+    return None
+
+
+def _parse_rows(rows, dim: int, where: str) -> np.ndarray:
+    """A list of ``dim``-vectors as one ``(n, dim)`` array; ``[]`` gives shape ``(0,)``."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: expected a list of {dim}-vectors")
+    arr = _finite_rows(rows, dim)
+    if arr is None:
+        return np.array([_parse_vec(r, dim, f"{where}[{i}]") for i, r in enumerate(rows)])
+    return arr
+
+
+def _parse_labeled(v, dim: int, where: str) -> dict[str, np.ndarray]:
+    """A JSON object of ``dim``-vectors as a dict of rows of one array, keys in order."""
+    obj = _object(v, where)
+    arr = _finite_rows(list(obj.values()), dim)
+    if arr is None:
+        return {lab: _parse_vec(x, dim, f"{where}[{lab!r}]") for lab, x in obj.items()}
+    return dict(zip(obj, arr))
 
 
 def _parse_truth(raw) -> TruthBlock:
     if not isinstance(raw, dict) or "points3d" not in raw:
         raise ParseError("'truth' must be an object with 'points3d'")
-    pts = {
-        lab: _parse_vec(p, 3, f"truth.points3d[{lab!r}]")
-        for lab, p in _object(raw["points3d"], "truth.points3d").items()
-    }
+    pts = _parse_labeled(raw["points3d"], 3, "truth.points3d")
     motions = None
     if raw.get("motions") is not None:
         motions = []

@@ -51,11 +51,3 @@ class NotEssentialError(SolverError):
 
 class InconsistentDataError(SolverError):
     """Measurements contradict each other beyond tolerance."""
-
-
-class InfeasibleAnglesError(SolverError):
-    """No planar layout realizes the requested angle parameters."""
-
-
-class EvaluationError(MultiframeError):
-    """Estimate and ground truth cannot be compared (e.g. label mismatch)."""

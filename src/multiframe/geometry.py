@@ -26,6 +26,8 @@ from .errors import DegenerateProjection, DegenerateTriangulation, InputError
 Vec3 = np.ndarray
 Vec2 = np.ndarray
 
+_EYE3 = np.eye(3)
+
 
 def vec3(x, y, z) -> Vec3:
     return np.array([x, y, z], dtype=float)
@@ -33,6 +35,21 @@ def vec3(x, y, z) -> Vec3:
 
 def vec2(u, v) -> Vec2:
     return np.array([u, v], dtype=float)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of ``(3,)`` or ``(n, 3)`` arrays.
+
+    Equal to ``np.cross`` bit for bit (the same products, then the same
+    differences), without its axis handling, which costs more than the
+    arithmetic on the few vectors a solver works on.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +63,8 @@ class Rotation:
         if m.shape != (3, 3):
             raise InputError(f"rotation matrix must be 3x3, got {m.shape}")
         tol = TOL.rotation_orthonormal
-        if not np.allclose(m.T @ m, np.eye(3), atol=tol):
+        # an absolute bound on every entry; a relative one lets column norms drift
+        if not (np.abs(m.T @ m - _EYE3) <= tol).all():
             raise InputError("rotation matrix columns are not orthonormal")
         if abs(np.linalg.det(m) - 1.0) > tol:
             raise InputError("rotation matrix determinant is not +1")
@@ -171,14 +189,14 @@ class CameraPose:
         object.__setattr__(self, "basis_v", v)
         if self.focal is not None:
             f = np.asarray(self.focal, dtype=float)
-            n = np.cross(u, v)
+            n = cross(u, v)
             if abs(float((f - o) @ n)) <= tol:
                 raise InputError("focal point must not lie in the projection plane")
             object.__setattr__(self, "focal", f)
 
     @property
     def normal(self) -> Vec3:
-        return np.cross(self.basis_u, self.basis_v)
+        return cross(self.basis_u, self.basis_v)
 
     @property
     def is_orthographic(self) -> bool:
@@ -299,14 +317,14 @@ def triangulate_midpoints(
     pairs parallel within ``tol.ray_parallel`` (sine of the angle), whose
     midpoints and gaps are NaN.
     """
-    n = np.cross(d1, d2)
+    n = cross(d1, d2)
     n2 = np.einsum("ij,ij->i", n, n)
     parallel = np.sqrt(n2) < tol.ray_parallel
     w = o2 - o1
     with np.errstate(divide="ignore", invalid="ignore"):
         # Cramer's rule: t1 = det[w, d2, n] / |n|^2, t2 = det[w, d1, n] / |n|^2
-        t1 = np.einsum("ij,ij->i", w, np.cross(d2, n)) / n2
-        t2 = np.einsum("ij,ij->i", w, np.cross(d1, n)) / n2
+        t1 = np.einsum("ij,ij->i", w, cross(d2, n)) / n2
+        t2 = np.einsum("ij,ij->i", w, cross(d1, n)) / n2
     p1 = o1 + t1[:, None] * d1
     p2 = o2 + t2[:, None] * d2
     mid = (p1 + p2) / 2.0

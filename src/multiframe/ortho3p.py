@@ -37,7 +37,7 @@ from .errors import (
     NoSolutionError,
     RankDeficientError,
 )
-from .geometry import RigidMotion, best_fit_motion
+from .geometry import RigidMotion, best_fit_motion, cross
 
 
 def edge_lengths(p, q, r) -> tuple[float, float, float]:
@@ -142,7 +142,7 @@ class LinearPair:
         return self.rows @ np.asarray(x, dtype=float) + self.consts
 
     def rank_deficient(self, rel_tol: float = 1e-10) -> bool:
-        n = np.linalg.norm(np.cross(self.rows[0], self.rows[1]))
+        n = np.linalg.norm(cross(self.rows[0], self.rows[1]))
         d = np.linalg.norm(self.rows[0]) * np.linalg.norm(self.rows[1])
         return d == 0.0 or n <= rel_tol * d
 
@@ -252,7 +252,7 @@ def solve_triangle(
             "in-plane rotation across all frames)"
         )
     x_part, *_ = np.linalg.lstsq(pair.rows, -pair.consts, rcond=None)
-    direction = np.cross(pair.rows[0], pair.rows[1])
+    direction = cross(pair.rows[0], pair.rows[1])
     direction /= np.linalg.norm(direction)
 
     h = scale * scale

@@ -33,7 +33,7 @@ from .errors import (
     NotEssentialError,
     RankDeficientError,
 )
-from .geometry import Rotation
+from .geometry import Rotation, cross
 
 NINE_POINT_MESSAGE = (
     "nine correspondences are required to solve the composite matrix linearly "
@@ -72,7 +72,7 @@ def _axis_rotation(b: np.ndarray) -> Rotation:
     """Rotation taking the unit bearing ``b`` onto the optical axis."""
     b = b / np.linalg.norm(b)
     e3 = np.array([0.0, 0.0, 1.0])
-    axis = np.cross(b, e3)
+    axis = cross(b, e3)
     s = np.linalg.norm(axis)
     c = float(b @ e3)
     if s < 1e-15:

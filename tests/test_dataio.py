@@ -125,6 +125,61 @@ class TestSampleErrors:
         assert parse_error(doc) == f"truth.curves3d[0].samples[2]: {message}"
 
 
+EPIPOLE = ("frames", 0, "epipoles")
+
+
+def with_epipoles(epipoles):
+    doc = edited(EPIPOLE, epipoles)
+    doc["regime"] = "perspective_uncalibrated"
+    return doc
+
+
+WITH_EPIPOLES = with_epipoles({"1": [0.5, -0.25], "2": [1.5, 0.75]})
+
+
+class TestLabeledPointErrors:
+    """Each bad labeled point is named by its label, exactly as the per-label parser names it."""
+
+    BAD_2 = [
+        (["x", 0.9], "non-numeric entry"),
+        ([0.5], "expected a 2-vector"),
+        ([float("nan"), 0.9], "non-finite entry"),
+    ]
+
+    @pytest.mark.parametrize("value, message", BAD_2)
+    def test_bad_point(self, value, message):
+        doc = edited(("frames", 0, "points", "b"), value)
+        assert parse_error(doc) == f"frames[0].points['b']: {message}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([0.0, "y", 2.0], "non-numeric entry"),
+            ([0.0, 1.0], "expected a 3-vector"),
+            ([0.0, 1.0, float("-inf")], "non-finite entry"),
+        ],
+    )
+    def test_bad_truth_point(self, value, message):
+        doc = edited(("truth", "points3d", "b"), value)
+        assert parse_error(doc) == f"truth.points3d['b']: {message}"
+
+    @pytest.mark.parametrize("value, message", BAD_2)
+    def test_bad_epipole(self, value, message):
+        doc = copy.deepcopy(WITH_EPIPOLES)
+        doc["frames"][0]["epipoles"]["2"] = value
+        assert parse_error(doc) == f"frames[0].epipoles[2]: {message}"
+
+    def test_first_bad_label_is_named(self):
+        doc = edited(("frames", 0, "points", "b"), ["x", 0.0])
+        doc["frames"][0]["points"]["c"] = [0.0]
+        assert parse_error(doc) == "frames[0].points['b']: non-numeric entry"
+
+    def test_epipole_frame_id_not_an_integer(self):
+        doc = copy.deepcopy(WITH_EPIPOLES)
+        doc["frames"][0]["epipoles"]["x"] = [0.0, 0.0]
+        assert parse_error(doc) == "frames[0].epipoles: frame id 'x' is not an integer"
+
+
 class TestSampleAcceptance:
     def test_numeric_strings_and_booleans(self):
         doc = edited((*SAMPLE, 1), ["0.25", True])
@@ -220,6 +275,22 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def labeled(dim):
+    return st.dictionaries(
+        st.text(max_size=3),
+        st.lists(entries, min_size=dim, max_size=dim),
+        max_size=12,
+    )
+
+
+def per_label(points, dim):
+    return {lab: _parse_vec(v, dim, "") for lab, v in points.items()}
+
+
+def same_points(got, want):
+    return list(got) == list(want) and all(same_bits(got[k], want[k]) for k in want)
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(rows=row_lists(2))
@@ -249,3 +320,21 @@ class TestProperties:
         ds = add_noise(ds, NoiseSpec(sigma, seed))
         blob = write_dataset(ds)
         assert write_dataset(read_dataset(blob)) == blob
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=labeled(2), points3d=labeled(3))
+    def test_labeled_points_equal_per_label_parse(self, points, points3d):
+        doc = edited(("frames", 0, "points"), points)
+        doc["truth"]["points3d"] = points3d
+        ds = read_dataset(dumps(doc))
+        assert same_points(ds.frames[0].points, per_label(points, 2))
+        assert same_points(ds.truth.points3d, per_label(points3d, 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(epipoles=st.dictionaries(
+        st.integers(0, 99).map(str), st.lists(entries, min_size=2, max_size=2), min_size=1
+    ))
+    def test_epipoles_equal_per_label_parse(self, epipoles):
+        ds = read_dataset(dumps(with_epipoles(epipoles)))
+        want = {int(j): v for j, v in per_label(epipoles, 2).items()}
+        assert same_points(ds.frames[0].epipoles, want)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multiframe.errors import (
     DegenerateProjection,
@@ -14,6 +17,7 @@ from multiframe.geometry import (
     apply_motion,
     best_fit_motion,
     best_fit_rotation,
+    cross,
     project,
     project_orthographic,
     project_perspective,
@@ -83,6 +87,39 @@ class TestRotation:
     def test_bad_matrix_rejected(self):
         with pytest.raises(InputError):
             Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
+
+    def test_column_norm_drift_rejected(self):
+        # determinant 1, but columns 4e-6 off unit length: far over
+        # rotation_orthonormal (1e-9), within a relative 1e-5
+        with pytest.raises(InputError, match="orthonormal"):
+            Rotation(np.diag([1 + 4e-6, 1 / (1 + 4e-6), 1.0]))
+
+    def test_tiny_perturbation_accepted(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            m = random_rotation(rng).matrix + 1e-10 * rng.uniform(-1, 1, size=(3, 3))
+            Rotation(m)
+
+
+# magnitudes whose products and their differences stay finite
+coords = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+vec_shapes = st.one_of(st.just((3,)), st.integers(0, 8).map(lambda n: (n, 3)))
+
+
+class TestCross:
+    @given(data=st.data(), shape=vec_shapes)
+    def test_equals_numpy_cross(self, data, shape):
+        a = data.draw(arrays(np.float64, shape, elements=coords))
+        b = data.draw(arrays(np.float64, shape, elements=coords))
+        got, want = cross(a, b), np.cross(a, b)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    def test_broadcast_view_rows(self):
+        d = np.broadcast_to(vec3(0.0, 0.6, 0.8), (4, 3))
+        e = np.arange(12.0).reshape(4, 3)
+        assert np.array_equal(cross(d, e), np.cross(d, e))
 
 
 class TestRigidMotion:
