@@ -16,7 +16,6 @@ from .geometry import (
     Ray,
     RigidMotion,
     Rotation,
-    apply_motion,
     best_fit_motion,
     best_fit_rotation,
     project,
@@ -40,7 +39,6 @@ __all__ = [
     "RigidMotion",
     "Rotation",
     "Tolerances",
-    "apply_motion",
     "best_fit_motion",
     "best_fit_rotation",
     "dof_orthographic",

@@ -138,11 +138,6 @@ class RigidMotion:
         return RigidMotion(rinv, -rinv.apply(self.translation))
 
 
-def apply_motion(m: RigidMotion, p: Vec3) -> Vec3:
-    """Apply a rigid motion to a point; preserves pairwise distances."""
-    return m.apply(p)
-
-
 @dataclass(frozen=True, eq=False)
 class Ray:
     """Half-infinite line: origin plus unit direction."""

@@ -311,22 +311,6 @@ def solve_triangle(
     return solutions
 
 
-def reconstruct_depths(
-    solution: TriangleSolution, observations: list[TriangleFrameObs], *, tol: Tolerances = TOL
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-frame depth offsets, both global reflections.
-
-    Offsets are defined up to a common shift; the representative puts the
-    first vertex at zero.
-    """
-    scale = max(max(o.a, o.b, o.c) for o in observations)
-    out = []
-    for obs in observations:
-        _, depths = frame_sign_pattern(solution.lengths_sq, obs, tol=tol, scale=scale)
-        out.append((depths, -depths))
-    return out
-
-
 def posed_triple(obs: TriangleFrameObs, depths: np.ndarray) -> np.ndarray:
     """Embed one frame's triangle in view coordinates (u, v, depth)."""
     return np.array(
@@ -336,21 +320,6 @@ def posed_triple(obs: TriangleFrameObs, depths: np.ndarray) -> np.ndarray:
             [obs.r[0], obs.r[1], depths[2]],
         ]
     )
-
-
-def recover_motion(triples: list[np.ndarray]) -> list[tuple[RigidMotion, float]]:
-    """Best-fit rigid motion from the frame-1 triple to every frame.
-
-    Each triple is a (3, 3) array of posed points.  Returns per-frame
-    (motion, alignment residual); the first entry is the identity.
-    """
-    if not triples:
-        raise InputError("no triples given")
-    base = np.asarray(triples[0], dtype=float)
-    out = [(RigidMotion.identity(), 0.0)]
-    for t in triples[1:]:
-        out.append(best_fit_motion(base, np.asarray(t, dtype=float)))
-    return out
 
 
 def recover_motions_consistent(

@@ -17,6 +17,13 @@ distinguished point at unit distance from the first focal point.
 Both frames are first re-expressed (a pure rotation about each focal
 point) so the distinguished point lies on the optical axis; the recorded
 rotations invert the recalculation afterwards.
+
+Every step runs on ``(n, 3)`` bearing arrays, rows in the first frame's
+label order, from the moment a frame is read: one rotation product per
+frame normalizes, one ``einsum`` builds the stacked system, one batched
+SVD of the ``(n, 3, 2)`` depth systems votes on a candidate, and the
+denormalized depths, structure and residuals are computed as arrays.
+Label-keyed dicts are built only for the returned values.
 """
 
 from __future__ import annotations
@@ -41,9 +48,21 @@ NINE_POINT_MESSAGE = (
 )
 
 
-def bearing(image_point) -> np.ndarray:
-    u, v = float(image_point[0]), float(image_point[1])
-    return np.array([u, v, 1.0])
+def bearing(image_points) -> np.ndarray:
+    """Homogeneous bearings (u, v, 1) over the last axis: ``(2,)`` gives
+    ``(3,)`` and ``(n, 2)`` gives ``(n, 3)``."""
+    p = np.asarray(image_points, dtype=float)
+    return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+
+
+def _stack_frames(points1: dict, points2: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Labels of ``points1`` in its order, and both frames' ``(n, 3)`` bearings."""
+    labels = list(points1)
+    try:
+        uv2 = list(map(points2.__getitem__, labels))
+    except KeyError as exc:
+        raise InputError(f"label {exc.args[0]!r} missing from the second frame") from None
+    return labels, bearing(list(points1.values())), bearing(uv2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +78,10 @@ class NormalizedPair:
 
     def original_points(self, frame: int) -> dict[str, np.ndarray]:
         """Invert the recorded recalculation (round-trip check)."""
-        rot = (self.rot1 if frame == 1 else self.rot2).inverse()
+        rot = self.rot1 if frame == 1 else self.rot2
         pts = self.points1 if frame == 1 else self.points2
-        out = {}
-        for lab, uv in pts.items():
-            m = rot.apply(bearing(uv))
-            out[lab] = np.array([m[0] / m[2], m[1] / m[2]])
-        return out
+        m = bearing(list(pts.values())) @ rot.matrix  # rows R^T b
+        return dict(zip(pts, m[:, :2] / m[:, 2:]))
 
 
 def _axis_rotation(b: np.ndarray) -> Rotation:
@@ -88,18 +104,20 @@ def normalize_distinguished(
     """Rotate both image frames so the distinguished point maps to (0, 0)."""
     if distinguished not in points1 or distinguished not in points2:
         raise InputError(f"distinguished label {distinguished!r} missing from a frame")
-    rot1 = _axis_rotation(bearing(points1[distinguished]))
-    rot2 = _axis_rotation(bearing(points2[distinguished]))
-    out1, out2 = {}, {}
-    for lab in points1:
-        for rot, pts, out in ((rot1, points1, out1), (rot2, points2, out2)):
-            m = rot.apply(bearing(pts[lab]))
-            if m[2] <= 1e-12:
-                raise InputError(f"label {lab!r} leaves the field of view when recalculated")
-            out[lab] = np.array([m[0] / m[2], m[1] / m[2]])
-    out1[distinguished] = np.zeros(2)
-    out2[distinguished] = np.zeros(2)
-    return NormalizedPair(sorted(points1), out1, out2, rot1, rot2, distinguished)
+    labels, b1, b2 = _stack_frames(points1, points2)
+    d = labels.index(distinguished)
+    rot1, rot2 = _axis_rotation(b1[d]), _axis_rotation(b2[d])
+    m1, m2 = b1 @ rot1.matrix.T, b2 @ rot2.matrix.T
+    behind = (m1[:, 2] <= 1e-12) | (m2[:, 2] <= 1e-12)
+    if behind.any():
+        raise InputError(
+            f"label {labels[int(behind.argmax())]!r} leaves the field of view when recalculated"
+        )
+    uv1, uv2 = m1[:, :2] / m1[:, 2:], m2[:, :2] / m2[:, 2:]
+    uv1[d] = uv2[d] = 0.0
+    return NormalizedPair(
+        sorted(points1), dict(zip(labels, uv1)), dict(zip(labels, uv2)), rot1, rot2, distinguished
+    )
 
 
 def elimination_constraint(e: np.ndarray, m1, m2) -> float:
@@ -125,9 +143,7 @@ def solve_composite(
     minimum = 8 if allow_eight else 9
     if n < minimum:
         raise InputError(NINE_POINT_MESSAGE)
-    rows = np.empty((n, 9))
-    for i, (p1, p2) in enumerate(zip(corr1, corr2)):
-        rows[i] = np.outer(bearing(p2), bearing(p1)).reshape(-1)
+    rows = np.einsum("ni,nj->nij", bearing(corr2), bearing(corr1)).reshape(n, 9)
     _, s, vt = np.linalg.svd(rows)
     if s[7] <= 1e-10 * s[0]:
         raise RankDeficientError("correspondence system has rank below 8")
@@ -194,32 +210,23 @@ def recover_depths(
     *,
     tol: Tolerances = TOL,
 ) -> DepthVote:
-    """Solve the per-point 3-equation depth system by linear elimination.
+    """Solve the per-point 3-equation depth systems by linear elimination.
 
     Z1 * (A m1) - Z2 * m2 = -t per point; points whose system is singular
     (on the baseline) are excluded from the vote.  The candidate is
-    accepted iff every included point has Z1 > 0 and Z2 > 0.
+    accepted iff every included point has Z1 > 0 and Z2 > 0.  One batched
+    SVD of the ``(n, 3, 2)`` systems gives both the singular-value test and
+    the least-squares depths ``V diag(1/s) U^T (-t)``.
     """
     n = len(corr1)
+    mats = np.stack([bearing(corr1) @ rotation.matrix.T, -bearing(corr2)], axis=-1)
+    u, s, vt = np.linalg.svd(mats, full_matrices=False)
+    solvable = s[:, 1] > tol.depth_singular * s[:, 0]
+    coeffs = np.einsum("nji,j->ni", u[solvable], -translation)
     depths = np.full((n, 2), np.nan)
-    excluded = []
-    accepted = True
-    a = rotation.matrix
-    for i, (p1, p2) in enumerate(zip(corr1, corr2)):
-        m1 = a @ bearing(p1)
-        m2 = bearing(p2)
-        mat = np.column_stack([m1, -m2])
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[1] <= tol.depth_singular * sv[0]:
-            excluded.append(i)
-            continue
-        z, *_ = np.linalg.lstsq(mat, -translation, rcond=None)
-        depths[i] = z
-        if z[0] <= 0 or z[1] <= 0:
-            accepted = False
-    if len(excluded) == n:
-        accepted = False
-    return DepthVote(depths, excluded, accepted)
+    depths[solvable] = np.einsum("nji,nj->ni", vt[solvable], coeffs / s[solvable])
+    accepted = bool(solvable.any()) and not (depths[solvable] <= 0).any()
+    return DepthVote(depths, np.flatnonzero(~solvable).tolist(), accepted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,15 +246,15 @@ class MotionEstimate:
     max_constraint_residual: float = 0.0
 
 
-def _pure_rotation_fit(
-    points1: dict[str, np.ndarray], points2: dict[str, np.ndarray]
-) -> tuple[Rotation, float]:
-    """Best bearing-aligning rotation and its worst angular residual."""
-    labels = sorted(points1)
-    b1 = np.array([bearing(points1[l]) for l in labels])
-    b2 = np.array([bearing(points2[l]) for l in labels])
-    b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
-    b2 /= np.linalg.norm(b2, axis=1, keepdims=True)
+def _pure_rotation_fit(b1: np.ndarray, b2: np.ndarray) -> tuple[Rotation, float]:
+    """Best bearing-aligning rotation and its worst angular residual.
+
+    A rotation about the focal point moves no bearing's origin, so the
+    bearings are aligned as they are, not centered as in
+    :func:`~multiframe.geometry.best_fit_rotation`.
+    """
+    b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+    b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)
     h = b1.T @ b2
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
@@ -280,7 +287,8 @@ def two_frame_reconstruct(
 
     # zero-baseline scripts reduce to a pure rotation of the bearings; depths
     # are unrecoverable there, so report the rotation and flag the baseline
-    rot_fit, resid = _pure_rotation_fit(pts1, pts2)
+    _, b1, b2 = _stack_frames(pts1, pts2)
+    rot_fit, resid = _pure_rotation_fit(b1, b2)
     if resid < 1e-7:
         return MotionEstimate(
             rotation=rot_fit,
@@ -295,8 +303,9 @@ def two_frame_reconstruct(
         )
 
     norm = normalize_distinguished(pts1, pts2, distinguished)
-    corr1 = [norm.points1[l] for l in labels]
-    corr2 = [norm.points2[l] for l in labels]
+    order = list(norm.points1)
+    corr1 = np.array(list(norm.points1.values()))
+    corr2 = np.array(list(norm.points2.values()))
     e, s_min, inconsistency = solve_composite(corr1, corr2, allow_eight=allow_eight)
     structure_tol = max(tol.essential_structure, 100.0 * inconsistency)
     candidates = decompose(e, structure_tol=structure_tol, tol=tol)
@@ -309,43 +318,32 @@ def two_frame_reconstruct(
     a_norm, t_norm = candidates[winners[0]]
     vote = votes[winners[0]]
 
-    d_idx = labels.index(distinguished)
-    z_dist = vote.depths[d_idx, 0]
+    z_dist = vote.depths[order.index(distinguished), 0]
     if not np.isfinite(z_dist) or z_dist <= 0:
         raise AmbiguityError("distinguished point depth is unrecoverable")
     scale = 1.0 / z_dist
-    depths = {}
-    points3d = {}
-    excluded_labels = []
-    worst = 0.0
-    for i, lab in enumerate(labels):
-        if i in vote.excluded:
-            excluded_labels.append(lab)
-            continue
-        z1, z2 = vote.depths[i] * scale
-        depths[lab] = (float(z1), float(z2))
-        p_norm = z1 * bearing(norm.points1[lab])
-        points3d[lab] = norm.rot1.inverse().apply(p_norm)
-        m1 = bearing(norm.points1[lab])
-        m2 = bearing(norm.points2[lab])
-        worst = max(
-            worst,
-            abs(float(m2 @ e @ m1)) / (np.linalg.norm(m1) * np.linalg.norm(m2)),
-        )
+    kept = np.delete(np.arange(len(order)), vote.excluded)
+    names = np.array(order, dtype=object)
+    z = vote.depths[kept] * scale
+    m1, m2 = bearing(corr1[kept]), bearing(corr2[kept])
+    points3d = (z[:, :1] * m1) @ norm.rot1.matrix  # rows R1^T (Z1 m1)
+    residuals = np.abs(np.einsum("ni,ij,nj->n", m2, e, m1)) / (
+        np.linalg.norm(m1, axis=1) * np.linalg.norm(m2, axis=1)
+    )
 
-    rotation = norm.rot2.inverse().compose(Rotation(a_norm.matrix)).compose(norm.rot1)
-    t_orig = norm.rot2.inverse().apply(t_norm)
+    r2t = norm.rot2.matrix.T
+    t_orig = r2t @ t_norm
     return MotionEstimate(
-        rotation=rotation,
+        rotation=Rotation(r2t @ a_norm.matrix @ norm.rot1.matrix),
         translation=t_orig,
         translation_scaled=t_orig * scale,
-        depths=depths,
-        points3d=points3d,
+        depths=dict(zip(names[kept], map(tuple, z.tolist()))),
+        points3d=dict(zip(names[kept], points3d)),
         distinguished=distinguished,
-        excluded_labels=excluded_labels,
+        excluded_labels=names[vote.excluded].tolist(),
         candidates_tried=len(candidates),
         survivors=1,
-        max_constraint_residual=worst,
+        max_constraint_residual=float(residuals.max(initial=0.0)),
     )
 
 

@@ -14,7 +14,6 @@ from multiframe.geometry import (
     Ray,
     RigidMotion,
     Rotation,
-    apply_motion,
     best_fit_motion,
     best_fit_rotation,
     cross,
@@ -125,7 +124,7 @@ class TestCross:
 class TestRigidMotion:
     def test_identity_fixes_points(self):
         p = vec3(1, 2, 3)
-        assert np.allclose(apply_motion(RigidMotion.identity(), p), p)
+        assert np.allclose(RigidMotion.identity().apply(p), p)
 
     def test_translation_preserves_distances(self):
         m = RigidMotion(Rotation.identity(), vec3(5, -1, 2))

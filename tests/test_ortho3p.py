@@ -7,7 +7,7 @@ from multiframe.errors import (
     InputError,
     RankDeficientError,
 )
-from multiframe.geometry import RigidMotion, Rotation, vec2, vec3
+from multiframe.geometry import RigidMotion, Rotation, best_fit_motion, vec2, vec3
 from multiframe.ortho3p import (
     TriangleFrameObs,
     edge_lengths,
@@ -16,9 +16,7 @@ from multiframe.ortho3p import (
     linearized_pair,
     observations_from_dataset,
     posed_triple,
-    recover_motion,
     recover_motions_consistent,
-    reconstruct_depths,
     solve_triangle,
 )
 from multiframe.scene import (
@@ -192,8 +190,8 @@ class TestDepths:
             sol = min(
                 sols, key=lambda s: np.max(np.abs(np.array(s.lengths) - truth))
             )
-            pairs = reconstruct_depths(sol, obs_list)
-            for i, (plus, minus) in enumerate(pairs):
+            for i, fr in enumerate(sol.frames):
+                plus, minus = fr.depths, -fr.depths
                 m = ds.truth.motions[i]
                 true_depths = np.array(
                     [m.apply(ds.truth.points3d[lab])[2] for lab in ("P", "Q", "R")]
@@ -207,8 +205,8 @@ class TestDepths:
         obs_list, truth, _ = make_obs(25)
         sols = solve_triangle(obs_list)
         sol = sols[0]
-        for (plus, minus), obs in zip(reconstruct_depths(sol, obs_list), obs_list):
-            for depths in (plus, minus):
+        for fr, obs in zip(sol.frames, obs_list):
+            for depths in (fr.depths, -fr.depths):
                 d3 = posed_triple(obs, depths)
                 got = [
                     np.linalg.norm(d3[1] - d3[0]),
@@ -221,9 +219,9 @@ class TestDepths:
 class TestRecoverMotion:
     def test_identical_triples_identity(self):
         t = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        motions = recover_motion([t, t.copy()])
-        assert np.allclose(motions[1][0].rotation.matrix, np.eye(3), atol=1e-12)
-        assert motions[1][1] < 1e-12
+        motion, resid = best_fit_motion(t, t.copy())
+        assert np.allclose(motion.rotation.matrix, np.eye(3), atol=1e-12)
+        assert resid < 1e-12
 
     def test_recovers_scripted_rotation_from_true_depths(self):
         # with the generator's own depths the alignment is exact
@@ -236,9 +234,8 @@ class TestRecoverMotion:
                     [m.apply(ds.truth.points3d[lab])[2] for lab in ("P", "Q", "R")]
                 )
                 triples.append(posed_triple(obs, depths))
-            motions = recover_motion(triples)
             for i in (1, 2):
-                got, resid = motions[i]
+                got, resid = best_fit_motion(triples[0], triples[i])
                 assert got.rotation.angle_to(ds.truth.motions[i].rotation) < 1e-7
                 assert resid < 1e-9
 
@@ -252,14 +249,15 @@ class TestRecoverMotion:
             sol = min(
                 sols, key=lambda s: np.max(np.abs(np.array(s.lengths) - truth))
             )
-            pairs = reconstruct_depths(sol, obs_list)
+            d0 = sol.frames[0].depths
             for i in (1, 2):
+                di = sol.frames[i].depths
                 angles = []
-                for base_depths in pairs[0]:
-                    for frame_depths in pairs[i]:
+                for base_depths in (d0, -d0):
+                    for frame_depths in (di, -di):
                         base = posed_triple(obs_list[0], base_depths)
                         target = posed_triple(obs_list[i], frame_depths)
-                        motion, resid = recover_motion([base, target])[1]
+                        motion, resid = best_fit_motion(base, target)
                         assert resid < 1e-8
                         angles.append(
                             motion.rotation.angle_to(ds.truth.motions[i].rotation)
@@ -279,8 +277,19 @@ class TestRecoverMotion:
         base = posed_triple(obs_list[0], depths0)
         plus = posed_triple(obs_list[1], depths)
         minus = posed_triple(obs_list[1], -depths)
-        (_, r_plus), (_, r_minus) = (
-            recover_motion([base, plus])[1],
-            recover_motion([base, minus])[1],
-        )
+        (_, r_plus), (_, r_minus) = best_fit_motion(base, plus), best_fit_motion(base, minus)
         assert r_plus < 1e-6 or r_minus < 1e-6
+
+    def test_both_reflections_align_equally(self):
+        # a triangle and its mirror image are congruent, so a frame's two
+        # reflections align with the base equally well: the residual cannot
+        # choose between them, and recover_motions_consistent's pick is
+        # decided by rounding
+        for seed in (21, 22, 23, 24, 25, 36):
+            obs_list, truth, _ = make_obs(seed)
+            for sol in solve_triangle(obs_list):
+                base = posed_triple(obs_list[0], sol.frames[0].depths)
+                for obs, fr in zip(obs_list[1:], sol.frames[1:]):
+                    _, r_plus = best_fit_motion(base, posed_triple(obs, fr.depths))
+                    _, r_minus = best_fit_motion(base, posed_triple(obs, -fr.depths))
+                    assert abs(r_plus - r_minus) < 1e-12

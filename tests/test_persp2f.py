@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from multiframe.config import TOL
 from multiframe.dof import Regime
 from multiframe.errors import AmbiguityError, InputError, NotEssentialError, RankDeficientError
 from multiframe.geometry import Rotation, vec3
@@ -77,6 +81,44 @@ class TestNormalize:
     def test_missing_label_rejected(self):
         with pytest.raises(InputError):
             normalize_distinguished({"a": np.zeros(2)}, {"a": np.zeros(2)}, "zz")
+
+    def test_label_missing_from_second_frame_named(self):
+        pts1 = {"a": np.zeros(2), "b": np.array([0.3, 0.1]), "c": np.array([0.1, 0.2])}
+        pts2 = {"a": np.zeros(2), "c": np.array([0.2, -0.1])}
+        with pytest.raises(InputError, match="'b'"):
+            normalize_distinguished(pts1, pts2, "a")
+
+    def test_field_of_view_names_first_label_in_points1_order(self):
+        # the distinguished point sits 84 degrees off axis in both frames, on
+        # opposite sides; turning it onto the axis carries a point on the far
+        # side behind the focal point.  "c" leaves in frame 2 only, "b" in
+        # frame 1 only and "a" in both; the keys are deliberately unsorted.
+        far, near = 10.0, 0.1
+        pts1 = {
+            "d": np.array([far, 0.0]),
+            "m": np.array([near, 0.0]),
+            "c": np.array([near, 0.0]),
+            "b": np.array([-far, 0.0]),
+            "a": np.array([-far, 0.0]),
+        }
+        pts2 = {
+            "d": np.array([-far, 0.0]),
+            "m": np.array([-near, 0.0]),
+            "c": np.array([far, 0.0]),
+            "b": np.array([-near, 0.0]),
+            "a": np.array([far, 0.0]),
+        }
+        with pytest.raises(InputError, match="label 'c' leaves the field of view"):
+            normalize_distinguished(pts1, pts2, "d")
+        del pts1["c"], pts2["c"]
+        with pytest.raises(InputError, match="label 'b' leaves the field of view"):
+            normalize_distinguished(pts1, pts2, "d")
+        del pts1["b"], pts2["b"]
+        with pytest.raises(InputError, match="label 'a' leaves the field of view"):
+            normalize_distinguished(pts1, pts2, "d")
+        del pts1["a"], pts2["a"]
+        norm = normalize_distinguished(pts1, pts2, "d")
+        assert np.allclose(norm.points1["d"], 0.0) and np.allclose(norm.points2["d"], 0.0)
 
 
 class TestEliminationConstraint:
@@ -225,6 +267,79 @@ class TestRecoverDepths:
         c2 = [np.zeros(2), np.array([0.5, 0.4])]
         vote = recover_depths(rot, t, c1, c2)
         assert 0 in vote.excluded
+
+
+def reference_depths(rotation, translation, corr1, corr2, tol=TOL):
+    """Per-point depth vote: one svd and one lstsq for each correspondence."""
+    n = len(corr1)
+    depths = np.full((n, 2), np.nan)
+    ratios = np.empty(n)
+    excluded = []
+    accepted = True
+    for i, (p1, p2) in enumerate(zip(corr1, corr2)):
+        m1 = rotation.matrix @ bearing(p1)
+        m2 = bearing(p2)
+        mat = np.column_stack([m1, -m2])
+        sv = np.linalg.svd(mat, compute_uv=False)
+        ratios[i] = sv[1] / sv[0]
+        if sv[1] <= tol.depth_singular * sv[0]:
+            excluded.append(i)
+            continue
+        z, *_ = np.linalg.lstsq(mat, -translation, rcond=None)
+        depths[i] = z
+        if z[0] <= 0 or z[1] <= 0:
+            accepted = False
+    if len(excluded) == n:
+        accepted = False
+    return depths, ratios, excluded, accepted
+
+
+unit_coords = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+image_coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+class TestRecoverDepthsProperty:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        data=st.data(),
+        axis=arrays(np.float64, 3, elements=unit_coords),
+        angle=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        direction=arrays(np.float64, 3, elements=unit_coords),
+        length=st.floats(min_value=0.1, max_value=10.0),
+        n=st.integers(1, 12),
+    )
+    def test_matches_per_point_reference(self, data, axis, angle, direction, length, n):
+        assume(np.linalg.norm(axis) > 0.1 and np.linalg.norm(direction) > 0.1)
+        rot = Rotation.from_axis_angle(axis / np.linalg.norm(axis), angle)
+        t = length * direction / np.linalg.norm(direction)
+        c1 = data.draw(arrays(np.float64, (n, 2), elements=image_coords))
+        c2 = data.draw(arrays(np.float64, (n, 2), elements=image_coords))
+        # some points sit on the baseline: A m1 parallel to m2, a singular system
+        on_baseline = data.draw(arrays(np.bool_, n))
+        for i in np.flatnonzero(on_baseline):
+            w = rot.matrix.T @ bearing(c2[i])
+            if abs(w[2]) > 0.1:
+                c1[i] = w[:2] / w[2]
+        want, ratios, excluded, accepted = reference_depths(rot, t, c1, c2)
+        # stay well away from the exclusion threshold, where the two
+        # factorizations may round to different sides
+        assume(np.all((ratios < 1e-12) | (ratios >= 1e-3)))
+        # depths are compared relative to the point's larger depth or to |t|,
+        # the size of the right-hand side; a depth at rounding distance from
+        # zero on that scale has no sign to compare
+        kept = ~np.isnan(want[:, 0])
+        scale = np.maximum(np.abs(want[kept]).max(axis=1, keepdims=True), length)
+        assume(np.all(np.abs(want[kept]) > 1e-9 * scale))
+
+        # least-squares depths move with the square of the condition number
+        # 1/ratio, so the 1e-12 agreement holds from ratio 1e-2 and widens below
+        rel = 1e-12 * np.maximum(1.0, (1e-2 / ratios[kept, None]) ** 2)
+
+        vote = recover_depths(rot, t, list(c1), list(c2))
+        assert vote.excluded == excluded
+        assert vote.accepted == accepted
+        assert np.array_equal(np.isnan(vote.depths), np.isnan(want))
+        assert np.all(np.abs(vote.depths[kept] - want[kept]) <= rel * scale)
 
 
 class TestTwoFrameReconstruct:
