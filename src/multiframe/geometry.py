@@ -346,35 +346,41 @@ def triangulate_midpoint(
     return mid[0], float(gap[0])
 
 
-def best_fit_rotation(src: np.ndarray, dst: np.ndarray) -> tuple[Rotation, float]:
-    """Proper rotation aligning centered ``src`` onto centered ``dst``.
+def best_fit_motions(src: np.ndarray, dst: np.ndarray) -> list[tuple[RigidMotion, float]]:
+    """Rigid motions mapping ``src`` onto each row of ``dst`` in least squares.
 
-    Orthogonal decomposition of the cross-covariance with the determinant
-    forced to +1; returns the rotation and the RMS alignment residual.
-    Inputs are ``(n, 3)`` arrays of corresponding points, n >= 3 and not
-    collinear.
+    ``src`` is ``(n, 3)``, n >= 3 points not collinear; ``dst`` is ``(k, n, 3)``.  One
+    stacked SVD of the centered cross-covariances, determinants forced to +1, gives the k
+    rotations.  Returns ``(motion, rms_residual)`` per row of ``dst``.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    if src.shape != dst.shape or src.shape[0] < 3:
-        raise InputError("need matching point sets with at least 3 points")
-    sc = src - src.mean(axis=0)
-    dc = dst - dst.mean(axis=0)
-    h = sc.T @ dc
-    u, s, vt = np.linalg.svd(h)
-    # rank < 2 means the points are collinear: rotation about the line is free
-    if s[1] <= 1e-12 * max(s[0], 1.0):
+    if src.ndim != 2 or src.shape[0] < 3 or src.shape[1] != 3 or dst.shape[1:] != src.shape:
+        raise InputError("need (n, 3) points, n >= 3, and (k, n, 3) targets matching them")
+    s_mean = src.mean(axis=0)
+    d_mean = dst.mean(axis=1)
+    sc = src - s_mean
+    dc = dst - d_mean[:, None]
+    u, s, vt = np.linalg.svd(np.einsum("ni,knj->kij", sc, dc))
+    # rank < 2 means collinear points: rotation about the line is free.  Rounding
+    # leaves a collinear set's s[1] near 1e-16 * s[0]; 1e-12 keeps four digits over
+    # that and accepts sets wider than 1e-6 of their length (absolute below unit scale)
+    if (s[:, 1] <= 1e-12 * np.maximum(s[:, 0], 1.0)).any():
         raise InputError("point sets are collinear; rotation is ill-posed")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = Rotation(vt.T @ np.diag([1.0, 1.0, d]) @ u.T)
-    resid = np.linalg.norm(sc @ rot.matrix.T - dc) / np.sqrt(src.shape[0])
-    return rot, float(resid)
+    vt[:, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
+    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
+    resid = np.sqrt(((sc @ np.swapaxes(rot, 1, 2) - dc) ** 2).sum(axis=(1, 2)))
+    resid /= np.sqrt(src.shape[0])
+    trans = d_mean - rot @ s_mean
+    return [(RigidMotion(Rotation(r), t), float(e)) for r, t, e in zip(rot, trans, resid)]
+
+
+def best_fit_rotation(src: np.ndarray, dst: np.ndarray) -> tuple[Rotation, float]:
+    """Proper rotation aligning centered ``src`` onto centered ``dst``, and the RMS residual."""
+    motion, resid = best_fit_motions(src, np.asarray(dst, dtype=float)[None])[0]
+    return motion.rotation, resid
 
 
 def best_fit_motion(src: np.ndarray, dst: np.ndarray) -> tuple[RigidMotion, float]:
-    """Rigid motion mapping ``src`` points onto ``dst`` in least squares."""
-    rot, resid = best_fit_rotation(src, dst)
-    t = np.asarray(dst, dtype=float).mean(axis=0) - rot.matrix @ np.asarray(
-        src, dtype=float
-    ).mean(axis=0)
-    return RigidMotion(rot, t), resid
+    """Rigid motion mapping ``src`` points onto ``dst`` (see :func:`best_fit_motions`)."""
+    return best_fit_motions(src, np.asarray(dst, dtype=float)[None])[0]

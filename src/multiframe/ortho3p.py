@@ -17,13 +17,15 @@ third frame's quartic gives a univariate quadratic, hence at most two
 candidate length triples.  Frames beyond the third act as filters only.
 
 Depth offsets per frame are recovered from the square roots up to a common
-shift and a per-frame reflection; rigid motions between frames follow from
-the posed triples by orthogonal (cross-covariance) alignment.
+shift and a per-frame reflection, which is a gauge: a posed triple is
+planar, so it and its mirror image are related by a proper rotation.  One
+batched orthogonal (cross-covariance) alignment of the representative posed
+triples gives the rigid motions from frame 1 to every later frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -37,7 +39,7 @@ from .errors import (
     NoSolutionError,
     RankDeficientError,
 )
-from .geometry import RigidMotion, best_fit_motion, cross
+from .geometry import RigidMotion, best_fit_motion, best_fit_motions, cross
 
 
 def edge_lengths(p, q, r) -> tuple[float, float, float]:
@@ -53,25 +55,22 @@ def edge_lengths(p, q, r) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class TriangleFrameObs:
-    """One frame's observation of the traced triangle."""
+    """One frame's observation of the traced triangle; ``a, b, c`` = ``|PQ|, |QR|, |RP|``."""
 
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    a: float
-    b: float
-    c: float
+    a: float = field(init=False)
+    b: float = field(init=False)
+    c: float = field(init=False)
 
     def __post_init__(self):
-        a, b, c = edge_lengths(self.p, self.q, self.r)
-        scale = max(a, b, c)
-        if max(abs(a - self.a), abs(b - self.b), abs(c - self.c)) > 1e-12 * scale:
-            raise InputError("stored lengths disagree with the raw image points")
+        for name, length in zip("abc", edge_lengths(self.p, self.q, self.r)):
+            object.__setattr__(self, name, length)
 
     @classmethod
     def from_points(cls, p, q, r) -> "TriangleFrameObs":
-        a, b, c = edge_lengths(p, q, r)
-        return cls(np.asarray(p, float), np.asarray(q, float), np.asarray(r, float), a, b, c)
+        return cls(np.asarray(p, float), np.asarray(q, float), np.asarray(r, float))
 
     @property
     def lengths_sq(self) -> np.ndarray:
@@ -326,22 +325,17 @@ def recover_motions_consistent(
     observations: list[TriangleFrameObs],
     solution: TriangleSolution,
 ) -> list[tuple[RigidMotion, float, bool]]:
-    """Motions with per-frame reflections chosen for best rigid alignment.
+    """Rigid motions carrying frame 1's posed triple onto every frame's, in one fit.
 
-    Frame 1 keeps its representative depths (gauge); every later frame
-    tries both reflections and keeps the one with the smaller alignment
-    residual.  Returns (motion, residual, reflected) per frame.
+    Returns (motion, residual, reflected) per frame, frame 1's the identity.  Both
+    reflections align to rounding (the mirror is a gauge, see the module docstring),
+    so every frame keeps its representative depths and ``reflected`` is False.
     """
-    base = posed_triple(observations[0], solution.frames[0].depths)
-    out = [(RigidMotion.identity(), 0.0, False)]
-    for obs, fr in zip(observations[1:], solution.frames[1:]):
-        best = None
-        for reflected, depths in ((False, fr.depths), (True, -fr.depths)):
-            motion, resid = best_fit_motion(base, posed_triple(obs, depths))
-            if best is None or resid < best[1]:
-                best = (motion, resid, reflected)
-        out.append(best)
-    return out
+    if len(observations) != len(solution.frames):
+        raise InputError(f"{len(observations)} observations for {len(solution.frames)} frames")
+    base, *rest = (posed_triple(o, f.depths) for o, f in zip(observations, solution.frames))
+    fits = best_fit_motions(base, np.array(rest).reshape(-1, 3, 3))
+    return [(RigidMotion.identity(), 0.0, False)] + [(m, e, False) for m, e in fits]
 
 
 def observations_from_dataset(dataset, labels=None) -> list[TriangleFrameObs]:

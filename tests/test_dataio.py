@@ -292,19 +292,19 @@ def same_points(got, want):
 
 
 class TestProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=row_lists(2))
     def test_curve_samples_equal_row_by_row_parse(self, rows):
         ds = read_dataset(dumps(edited(SAMPLE, rows)))
         assert same_bits(ds.frames[0].curves[0]["samples"], row_by_row(rows, 2))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(rows=row_lists(3))
     def test_truth_curve_samples_equal_row_by_row_parse(self, rows):
         ds = read_dataset(dumps(edited(SAMPLE3, rows)))
         assert same_bits(ds.truth.curves3d[0]["samples"], row_by_row(rows, 3))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(
         seed=st.integers(min_value=1, max_value=2**31 - 2),
         sigma=st.sampled_from([0.0, 1e-5]),
@@ -321,7 +321,7 @@ class TestProperties:
         blob = write_dataset(ds)
         assert write_dataset(read_dataset(blob)) == blob
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(points=labeled(2), points3d=labeled(3))
     def test_labeled_points_equal_per_label_parse(self, points, points3d):
         doc = edited(("frames", 0, "points"), points)
@@ -330,7 +330,7 @@ class TestProperties:
         assert same_points(ds.frames[0].points, per_label(points, 2))
         assert same_points(ds.truth.points3d, per_label(points3d, 3))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(epipoles=st.dictionaries(
         st.integers(0, 99).map(str), st.lists(entries, min_size=2, max_size=2), min_size=1
     ))

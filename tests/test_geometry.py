@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from multiframe.geometry import (
     RigidMotion,
     Rotation,
     best_fit_motion,
+    best_fit_motions,
     best_fit_rotation,
     cross,
     project,
@@ -348,6 +349,74 @@ class TestBestFit:
         src = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(InputError):
             best_fit_rotation(src, src)
+
+    def test_two_dimensional_points_rejected(self):
+        src = np.array([[0.0, 0], [1, 0], [0, 1]])
+        with pytest.raises(InputError):
+            best_fit_rotation(src, src)
+        with pytest.raises(InputError):
+            best_fit_motion(src, src)
+
+
+def reference_fit(src, dst):
+    """One row's centered-SVD alignment, as the batched fit must compute it.
+
+    Returns (rotation matrix, translation, RMS residual, whether s[1] + d s[2]
+    is large enough to fix the rotation to 1e-12), or None when the point
+    sets are collinear.
+    """
+    s_mean, d_mean = src.mean(axis=0), dst.mean(axis=0)
+    sc, dc = src - s_mean, dst - d_mean
+    u, s, vt = np.linalg.svd(sc.T @ dc)
+    if s[1] <= 1e-12 * max(s[0], 1.0):
+        return None
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    resid = np.linalg.norm(sc @ rot.T - dc) / np.sqrt(len(src))
+    return rot, d_mean - rot @ s_mean, resid, s[1] + d * s[2] > 1e-2 * s[0]
+
+
+unit_box = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def fit_rows(draw, src):
+    """One target set: src moved rigidly, maybe mirrored, plus bounded noise."""
+    q = draw(arrays(np.float64, 4, elements=unit_box))
+    assume(np.linalg.norm(q) > 0.1)
+    w, x, y, z = q / np.linalg.norm(q)
+    rot = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+    mirror = np.array([1.0, 1.0, -1.0 if draw(st.booleans()) else 1.0])
+    t = draw(arrays(np.float64, 3, elements=unit_box))
+    noise = draw(arrays(np.float64, src.shape, elements=unit_box)) * 0.1
+    return (src * mirror) @ rot.T + t + noise
+
+
+class TestBestFitMotions:
+    @given(data=st.data(), n=st.integers(3, 6), k=st.integers(1, 4))
+    def test_rows_equal_per_row_reference(self, data, n, k):
+        src = data.draw(arrays(np.float64, (n, 3), elements=unit_box))
+        sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+        assume(sv[1] > 0.1 * sv[0])
+        dst = np.array([data.draw(fit_rows(src)) for _ in range(k)])
+        refs = [reference_fit(src, row) for row in dst]
+        assume(all(ref is not None and ref[3] for ref in refs))
+        fits = best_fit_motions(src, dst)
+        assert len(fits) == k
+        for (motion, resid), (rot, t, ref_resid, _) in zip(fits, refs):
+            assert np.abs(motion.rotation.matrix - rot).max() < 1e-12
+            assert np.abs(motion.translation - t).max() < 1e-12
+            assert abs(resid - ref_resid) < 1e-12
+
+        row = data.draw(st.integers(0, k - 1))
+        dst[row] = dst[row, 0] + np.arange(n)[:, None] * (src[1] - src[0])
+        assert reference_fit(src, dst[row]) is None
+        with pytest.raises(InputError):
+            best_fit_motions(src, dst)
 
 
 class TestPoseValidation:

@@ -283,8 +283,8 @@ class TestRecoverMotion:
     def test_both_reflections_align_equally(self):
         # a triangle and its mirror image are congruent, so a frame's two
         # reflections align with the base equally well: the residual cannot
-        # choose between them, and recover_motions_consistent's pick is
-        # decided by rounding
+        # choose between them, and recover_motions_consistent keeps the
+        # representative depths
         for seed in (21, 22, 23, 24, 25, 36):
             obs_list, truth, _ = make_obs(seed)
             for sol in solve_triangle(obs_list):
@@ -293,3 +293,29 @@ class TestRecoverMotion:
                     _, r_plus = best_fit_motion(base, posed_triple(obs, fr.depths))
                     _, r_minus = best_fit_motion(base, posed_triple(obs, -fr.depths))
                     assert abs(r_plus - r_minus) < 1e-12
+
+    def test_consistent_motions_map_frame_one_onto_every_frame(self):
+        for seed in (21, 22, 23, 24, 25, 31, 32, 33, 36):
+            for n_frames in (3, 4):
+                obs_list, _, _ = make_obs(seed, n_frames)
+                scale = max(max(o.a, o.b, o.c) for o in obs_list)
+                for sol in solve_triangle(obs_list):
+                    posed = [posed_triple(o, f.depths) for o, f in zip(obs_list, sol.frames)]
+                    motions = recover_motions_consistent(obs_list, sol)
+                    assert len(motions) == n_frames
+                    first = motions[0][0]
+                    assert np.array_equal(first.rotation.matrix, np.eye(3))
+                    assert np.array_equal(first.translation, np.zeros(3))
+                    for (motion, resid, reflected), target in zip(motions, posed):
+                        assert reflected is False
+                        moved = posed[0] @ motion.rotation.matrix.T + motion.translation
+                        assert np.abs(moved - target).max() < 1e-12 * scale
+                        assert resid < 1e-12 * scale
+
+    def test_frame_count_mismatch_rejected(self):
+        obs_list, _, _ = make_obs(21, 4)
+        sol = solve_triangle(obs_list)[0]
+        with pytest.raises(InputError):
+            recover_motions_consistent(obs_list[:3], sol)
+        with pytest.raises(InputError):
+            recover_motions_consistent(obs_list + obs_list[:1], sol)

@@ -299,7 +299,7 @@ image_coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
 class TestRecoverDepthsProperty:
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         data=st.data(),
         axis=arrays(np.float64, 3, elements=unit_coords),
