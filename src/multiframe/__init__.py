@@ -19,8 +19,7 @@ from .geometry import (
     best_fit_motion,
     best_fit_rotation,
     project,
-    project_orthographic,
-    project_perspective,
+    project_points,
     projection_matrix,
     ray_through,
     rays_through,
@@ -46,8 +45,7 @@ __all__ = [
     "dof_uncalibrated",
     "dof_verdict",
     "project",
-    "project_orthographic",
-    "project_perspective",
+    "project_points",
     "projection_matrix",
     "ray_through",
     "rays_through",

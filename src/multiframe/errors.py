@@ -14,7 +14,14 @@ class DegenerateGeometry(MultiframeError):
 
 
 class DegenerateProjection(DegenerateGeometry):
-    """Point at or behind the focal plane; projection undefined."""
+    """Point at or behind the focal plane; projection undefined.
+
+    ``index`` is the row of that point in the projected batch.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class DegenerateTriangulation(DegenerateGeometry):

@@ -11,6 +11,11 @@ convention places the plane one unit in front of the focal point, so image
 coordinates are depth ratios; other focal distances are expressed by
 rescaling image coordinates at ingestion.
 
+Projection has one implementation, the 3x4 projector of
+:func:`projection_matrix`; an orthographic camera is the projective one
+whose last row is ``(0, 0, 0, 1)``.  :func:`project_points` images a batch
+of points with one product, and :func:`project` is its one-row call.
+
 All functions are pure; values may be shared freely across threads.
 """
 
@@ -197,11 +202,6 @@ class CameraPose:
     def is_orthographic(self) -> bool:
         return self.focal is None
 
-    def plane_point(self, image: Vec2) -> Vec3:
-        """3-space position of an image point on the projection plane."""
-        u, v = float(image[0]), float(image[1])
-        return self.origin + u * self.basis_u + v * self.basis_v
-
     @classmethod
     def canonical_orthographic(cls) -> "CameraPose":
         return cls(np.zeros(3), vec3(1, 0, 0), vec3(0, 1, 0), None)
@@ -210,47 +210,6 @@ class CameraPose:
     def canonical_perspective(cls) -> "CameraPose":
         # focal at origin, plane one unit along +z
         return cls(vec3(0, 0, 1), vec3(1, 0, 0), vec3(0, 1, 0), np.zeros(3))
-
-
-def project_orthographic(p: Vec3, pose: CameraPose) -> Vec2:
-    """Orthographic image of ``p``: in-plane components of ``p - origin``.
-
-    Motion along the plane normal has no effect on the output.
-    """
-    if not pose.is_orthographic:
-        raise InputError("project_orthographic requires an orthographic pose")
-    d = np.asarray(p, dtype=float) - pose.origin
-    return np.array([float(d @ pose.basis_u), float(d @ pose.basis_v)])
-
-
-def project_perspective(p: Vec3, pose: CameraPose, *, tol: Tolerances = TOL) -> Vec2:
-    """Perspective image of ``p``: pierce the plane with the focal ray.
-
-    ``p`` must have positive depth (in front of the focal point on the
-    plane's side); zero or negative depth raises
-    :class:`DegenerateProjection`.
-    """
-    if pose.is_orthographic:
-        raise InputError("project_perspective requires a perspective pose")
-    f = pose.focal
-    n = pose.normal
-    plane_d = float((pose.origin - f) @ n)  # signed focal-to-plane distance
-    if plane_d < 0:
-        n = -n
-        plane_d = -plane_d
-    depth = float((np.asarray(p, dtype=float) - f) @ n)
-    if depth <= tol.unit_vector:
-        raise DegenerateProjection(f"point at depth {depth:.3g} cannot be projected")
-    q = f + (plane_d / depth) * (np.asarray(p, dtype=float) - f)
-    d = q - pose.origin
-    return np.array([float(d @ pose.basis_u), float(d @ pose.basis_v)])
-
-
-def project(p: Vec3, pose: CameraPose) -> Vec2:
-    """Dispatch to the orthographic or perspective projection."""
-    if pose.is_orthographic:
-        return project_orthographic(p, pose)
-    return project_perspective(p, pose)
 
 
 def projection_matrix(pose: CameraPose) -> np.ndarray:
@@ -277,6 +236,31 @@ def projection_matrix(pose: CameraPose) -> np.ndarray:
     off = f - pose.origin
     m = np.array([plane_d * u + (off @ u) * n, plane_d * v + (off @ v) * n, n])
     return np.column_stack([m, -(m @ f)])
+
+
+def project_points(points, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
+    """Images and depths of points through one :func:`projection_matrix` product.
+
+    ``(n, 3)`` points give ``(n, 2)`` images and ``(n,)`` depths; orthographic
+    depths are 1.  A perspective point at depth ``<= TOL.unit_vector``
+    (at or behind the focal plane) raises :class:`DegenerateProjection` whose
+    ``index`` is the first such row.
+    """
+    proj = projection_matrix(pose)
+    x = np.asarray(points, dtype=float).reshape(-1, 3) @ proj[:, :3].T + proj[:, 3]
+    depths = x[:, 2]
+    behind = np.flatnonzero(depths <= TOL.unit_vector)
+    if behind.size:
+        k = int(behind[0])
+        raise DegenerateProjection(f"point at depth {depths[k]:.3g} cannot be projected", k)
+    # times the reciprocal, not divided: on the canonical cameras this is exactly
+    # (1 / z) * p, the point moved onto the plane z = 1
+    return x[:, :2] * (1.0 / depths)[:, None], depths
+
+
+def project(p: Vec3, pose: CameraPose) -> Vec2:
+    """Image of one point (see :func:`project_points`)."""
+    return project_points(p, pose)[0][0]
 
 
 def rays_through(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +348,9 @@ def best_fit_motions(src: np.ndarray, dst: np.ndarray) -> list[tuple[RigidMotion
     u, s, vt = np.linalg.svd(np.einsum("ni,knj->kij", sc, dc))
     # rank < 2 means collinear points: rotation about the line is free.  Rounding
     # leaves a collinear set's s[1] near 1e-16 * s[0]; 1e-12 keeps four digits over
-    # that and accepts sets wider than 1e-6 of their length (absolute below unit scale)
-    if (s[:, 1] <= 1e-12 * np.maximum(s[:, 0], 1.0)).any():
+    # that and accepts sets wider than 1e-6 of their length.  Relative to s[0], so
+    # it holds at every scale; a set with no spread (s[0] = 0) still fails
+    if (s[:, 1] <= 1e-12 * s[:, 0]).any():
         raise InputError("point sets are collinear; rotation is ill-posed")
     vt[:, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
     rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)

@@ -170,12 +170,17 @@ def _quadratic_roots(alpha: float, beta: float, gamma: float, unit: float) -> li
     # coefficients live on very different scales; normalize by the natural
     # magnitude of s (squared-length units) before deciding what is "zero"
     mag = max(abs(alpha) * unit * unit, abs(beta) * unit, abs(gamma), 1e-300)
+    # the coefficients are differences of three quartic values, each rounded at
+    # about 1e-16 of mag; a term under 1e-13 of mag is that rounding with three
+    # digits to spare, so the quadratic drops to a line (or to no constraint)
     if abs(alpha) * unit * unit <= 1e-13 * mag:
         if abs(beta) * unit <= 1e-13 * mag:
             raise AmbiguityError("frame-3 quartic does not constrain the solution line")
         return [-gamma / beta]
     disc = beta * beta - 4 * alpha * gamma
     if disc < 0:
+        # a tangent line has a double root, whose disc rounds to either sign at
+        # about 1e-16 of its terms; 1e-12 keeps four digits over that
         if disc > -1e-12 * (beta * beta + abs(4 * alpha * gamma)):
             return [-beta / (2 * alpha)]
         return []

@@ -91,6 +91,9 @@ def _axis_rotation(b: np.ndarray) -> Rotation:
     axis = cross(b, e3)
     s = np.linalg.norm(axis)
     c = float(b @ e3)
+    # s is the sine of b's angle to the axis.  Below 1e-15, a few ulps of a unit
+    # vector, axis / s is rounding noise and the identity is within that angle;
+    # bearings point forward (z > 0), so b is on the axis, not opposite it
     if s < 1e-15:
         return Rotation.identity()
     return Rotation.from_axis_angle(axis / s, float(np.arctan2(s, c)))
@@ -289,6 +292,9 @@ def two_frame_reconstruct(
     # are unrecoverable there, so report the rotation and flag the baseline
     _, b1, b2 = _stack_frames(pts1, pts2)
     rot_fit, resid = _pure_rotation_fit(b1, b2)
+    # resid is an angle from arccos of a dot product.  One or two ulps below 1
+    # read as 1.5e-8 to 3e-8 rad, so an exact pure rotation lands there; 1e-7
+    # clears that by three times and calls any smaller parallax zero baseline
     if resid < 1e-7:
         return MotionEstimate(
             rotation=rot_fit,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dof import Regime
 from .errors import DegenerateProjection, GenerationError, InputError
-from .geometry import CameraPose, RigidMotion, Rotation, project, vec3
+from .geometry import CameraPose, RigidMotion, Rotation, project_points, vec3
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,76 +149,67 @@ def _pose_for_regime(regime: Regime) -> CameraPose:
     return CameraPose.canonical_perspective()
 
 
+def _images(points: np.ndarray, pose: CameraPose, motion: RigidMotion | None, where):
+    """Images of ``(n, 3)`` points moved by ``motion``; ``where(row)`` names an unprojectable one."""
+    if motion is not None:
+        # R p + t row by row in one stacked product; it rounds as RigidMotion.apply
+        # does, where points @ R.T can differ in the last bit
+        points = (motion.rotation.matrix @ points[..., None])[..., 0] + motion.translation
+    try:
+        return project_points(points, pose)[0]
+    except DegenerateProjection as exc:
+        raise GenerationError(f"{where(exc.index)}: {exc}") from exc
+
+
 def render(scene: SceneSpec, script: MotionScript, regime: Regime) -> MultiframeDataset:
     """Project every labeled point and curve sample into every frame.
 
     For the uncalibrated regime the script must supply camera poses and the
     exact epipole table is attached; otherwise the script supplies object
     motions in front of the canonical camera.  The truth block always rides
-    along.  A point at or behind a focal plane raises
-    :class:`GenerationError` naming the frame and label.
+    along.  A point or curve sample at or behind a focal plane raises
+    :class:`GenerationError` naming the frame and the label, or the frame,
+    the curve id and the sample index.
     """
-    if regime is Regime.PERSPECTIVE_UNCALIBRATED:
-        if script.poses is None:
-            raise InputError("uncalibrated rendering moves the camera: supply poses")
-        poses = script.poses
-        frames = []
-        for i, pose in enumerate(poses):
-            pts = {}
-            for lab, p in scene.points.items():
-                try:
-                    pts[lab] = project(p, pose)
-                except DegenerateProjection as exc:
-                    raise GenerationError(f"frame {i + 1}, point {lab!r}: {exc}") from exc
-            curves = [
-                {
-                    "id": c.id,
-                    "samples": np.array([project(q, pose) for q in c.samples]),
-                    "endpoints": list(c.endpoint_labels),
-                }
-                for c in scene.curves
-            ]
-            epi = {}
-            for j, other in enumerate(poses):
-                if j == i:
-                    continue
-                try:
-                    epi[j + 1] = project(other.focal, pose)
-                except DegenerateProjection as exc:
-                    raise GenerationError(
-                        f"frame {i + 1}: focal point of frame {j + 1} not projectable: {exc}"
-                    ) from exc
-            frames.append(FrameObs(i + 1, pts, curves, epi))
-        truth = TruthBlock(
-            dict(scene.points),
-            poses=list(poses),
-            curves3d=[{"id": c.id, "samples": c.samples.copy()} for c in scene.curves],
-        )
-        return MultiframeDataset(regime, frames, truth)
-
-    if script.motions is None:
+    uncalibrated = regime is Regime.PERSPECTIVE_UNCALIBRATED
+    if uncalibrated and script.poses is None:
+        raise InputError("uncalibrated rendering moves the camera: supply poses")
+    if not uncalibrated and script.motions is None:
         raise InputError("object-motion rendering requires a motions script")
-    pose = _pose_for_regime(regime)
+    labels = list(scene.points)
+    points = np.array(list(scene.points.values()))
+    canonical = None if uncalibrated else _pose_for_regime(regime)
     frames = []
-    for i, motion in enumerate(script.motions):
-        pts = {}
-        for lab, p in scene.points.items():
-            try:
-                pts[lab] = project(motion.apply(p), pose)
-            except DegenerateProjection as exc:
-                raise GenerationError(f"frame {i + 1}, point {lab!r}: {exc}") from exc
+    for i in range(script.n_frames):
+        # one camera per frame: the script's pose, or the canonical one facing the moved scene
+        pose = script.poses[i] if uncalibrated else canonical
+        motion = None if uncalibrated else script.motions[i]
+        pts = _images(points, pose, motion, lambda k: f"frame {i + 1}, point {labels[k]!r}")
         curves = [
             {
                 "id": c.id,
-                "samples": np.array([project(motion.apply(q), pose) for q in c.samples]),
+                "samples": _images(
+                    c.samples, pose, motion, lambda k: f"frame {i + 1}, curve {c.id!r}, sample {k}"
+                ),
                 "endpoints": list(c.endpoint_labels),
             }
             for c in scene.curves
         ]
-        frames.append(FrameObs(i + 1, pts, curves, None))
+        epi = None
+        if uncalibrated:
+            others = [j for j in range(script.n_frames) if j != i]
+            focals = _images(
+                np.array([script.poses[j].focal for j in others]),
+                pose,
+                None,
+                lambda k: f"frame {i + 1}: focal point of frame {others[k] + 1} not projectable",
+            )
+            epi = dict(zip([j + 1 for j in others], focals))
+        frames.append(FrameObs(i + 1, dict(zip(labels, pts)), curves, epi))
     truth = TruthBlock(
         dict(scene.points),
-        motions=list(script.motions),
+        motions=None if uncalibrated else list(script.motions),
+        poses=list(script.poses) if uncalibrated else None,
         curves3d=[{"id": c.id, "samples": c.samples.copy()} for c in scene.curves],
     )
     return MultiframeDataset(regime, frames, truth)
@@ -227,18 +218,18 @@ def render(scene: SceneSpec, script: MotionScript, regime: Regime) -> Multiframe
 def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset:
     """Isotropic Gaussian perturbation of every stored image point.
 
-    Deterministic per seed.  The truth block and the epipole tables are
-    left untouched (epipoles stay exact by design).
+    Deterministic per seed: each frame draws one ``(n, 2)`` block for its
+    points in sorted label order, then one block per curve.  The truth
+    block and the epipole tables are left untouched (epipoles stay exact
+    by design).
     """
     if noise.sigma == 0.0:
         return dataset
     rng = np.random.default_rng(noise.seed)
     frames = []
     for f in dataset.frames:
-        pts = {
-            lab: f.points[lab] + rng.normal(scale=noise.sigma, size=2)
-            for lab in sorted(f.points)
-        }
+        labels, pts = zip(*sorted(f.points.items()))
+        pts = np.array(pts) + rng.normal(scale=noise.sigma, size=(len(labels), 2))
         curves = [
             {
                 **c,
@@ -246,7 +237,7 @@ def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset
             }
             for c in f.curves
         ]
-        frames.append(FrameObs(f.id, pts, curves, f.epipoles))
+        frames.append(FrameObs(f.id, dict(zip(labels, pts)), curves, f.epipoles))
     return MultiframeDataset(dataset.regime, frames, dataset.truth, noise)
 
 

@@ -19,8 +19,7 @@ from multiframe.geometry import (
     best_fit_rotation,
     cross,
     project,
-    project_orthographic,
-    project_perspective,
+    project_points,
     projection_matrix,
     ray_through,
     rays_through,
@@ -48,6 +47,37 @@ def random_pose(rng, perspective=True):
     else:
         focal = None
     return CameraPose(origin, r[:, 0], r[:, 1], focal)
+
+
+def reference_orthographic(p, pose):
+    """Orthographic image as per-point formulas: in-plane components of p - origin."""
+    d = np.asarray(p, dtype=float) - pose.origin
+    return np.array([float(d @ pose.basis_u), float(d @ pose.basis_v)])
+
+
+def reference_perspective(p, pose, tol=1e-12):
+    """Perspective image as per-point formulas: pierce the plane with the focal ray.
+
+    Depth at or below ``tol`` (at or behind the focal point) raises.
+    """
+    f = pose.focal
+    n = pose.normal
+    plane_d = float((pose.origin - f) @ n)  # signed focal-to-plane distance
+    if plane_d < 0:
+        n = -n
+        plane_d = -plane_d
+    depth = float((np.asarray(p, dtype=float) - f) @ n)
+    if depth <= tol:
+        raise DegenerateProjection(f"point at depth {depth:.3g} cannot be projected")
+    q = f + (plane_d / depth) * (np.asarray(p, dtype=float) - f)
+    d = q - pose.origin
+    return np.array([float(d @ pose.basis_u), float(d @ pose.basis_v)])
+
+
+def reference_project(p, pose):
+    if pose.is_orthographic:
+        return reference_orthographic(p, pose)
+    return reference_perspective(p, pose)
 
 
 class TestRotation:
@@ -154,17 +184,14 @@ class TestRigidMotion:
 class TestOrthographicProjection:
     def test_plane_origin_maps_to_zero(self):
         pose = CameraPose.canonical_orthographic()
-        assert np.allclose(project_orthographic(pose.origin, pose), vec2(0, 0))
+        assert np.allclose(project(pose.origin, pose), vec2(0, 0))
 
     def test_normal_translation_has_no_effect(self):
         rng = np.random.default_rng(8)
         pose = random_pose(rng, perspective=False)
         p = rng.normal(size=3)
         shifted = p + 3.7 * pose.normal
-        assert np.allclose(
-            project_orthographic(p, pose), project_orthographic(shifted, pose),
-            atol=1e-12,
-        )
+        assert np.allclose(project(p, pose), project(shifted, pose), atol=1e-12)
 
     def test_matches_hand_expanded_dot_products(self):
         # independent arithmetic oracle: expand the dot products literally
@@ -174,22 +201,17 @@ class TestOrthographicProjection:
         d = p - pose.origin
         expected_u = d[0] * pose.basis_u[0] + d[1] * pose.basis_u[1] + d[2] * pose.basis_u[2]
         expected_v = d[0] * pose.basis_v[0] + d[1] * pose.basis_v[1] + d[2] * pose.basis_v[2]
-        assert np.allclose(project_orthographic(p, pose), [expected_u, expected_v])
-
-    def test_perspective_pose_rejected(self):
-        pose = CameraPose.canonical_perspective()
-        with pytest.raises(InputError):
-            project_orthographic(vec3(0, 0, 2), pose)
+        assert np.allclose(project(p, pose), [expected_u, expected_v])
 
 
 class TestPerspectiveProjection:
     def test_axis_point_maps_to_zero(self):
         pose = CameraPose.canonical_perspective()
-        assert np.allclose(project_perspective(vec3(0, 0, 5), pose), vec2(0, 0))
+        assert np.allclose(project(vec3(0, 0, 5), pose), vec2(0, 0))
 
     def test_depth_two_halves_offsets(self):
         pose = CameraPose.canonical_perspective()
-        out = project_perspective(vec3(0.6, -0.4, 2.0), pose)
+        out = project(vec3(0.6, -0.4, 2.0), pose)
         assert np.allclose(out, vec2(0.3, -0.2))
 
     def test_reprojected_ray_passes_through_point(self):
@@ -199,7 +221,7 @@ class TestPerspectiveProjection:
             p = pose.focal + rng.uniform(1.0, 4.0) * pose.normal + rng.normal(
                 size=3, scale=0.5
             )
-            img = project_perspective(p, pose)
+            img = project(p, pose)
             ray = ray_through(img, pose)
             # distance from p to the ray should vanish
             w = p - ray.origin
@@ -209,13 +231,9 @@ class TestPerspectiveProjection:
     def test_nonpositive_depth_rejected(self):
         pose = CameraPose.canonical_perspective()
         with pytest.raises(DegenerateProjection):
-            project_perspective(vec3(0.1, 0.1, -1.0), pose)
+            project(vec3(0.1, 0.1, -1.0), pose)
         with pytest.raises(DegenerateProjection):
-            project_perspective(vec3(0.1, 0.1, 0.0), pose)
-
-    def test_orthographic_pose_rejected(self):
-        with pytest.raises(InputError):
-            project_perspective(vec3(0, 0, 2), CameraPose.canonical_orthographic())
+            project(vec3(0.1, 0.1, 0.0), pose)
 
 
 class TestRayThrough:
@@ -239,7 +257,7 @@ class TestRayThrough:
             img = rng.normal(size=2)
             ray = ray_through(img, pose)
             for t in (0.5, 1.0, 3.0):
-                back = project_perspective(ray.point_at(t * 1.2 + 0.2), pose)
+                back = project(ray.point_at(t * 1.2 + 0.2), pose)
                 assert np.allclose(back, img, atol=1e-10)
 
 
@@ -259,7 +277,7 @@ class TestProjectionMatrix:
             for p in origins + rng.uniform(0.5, 3.0, size=(5, 1)) * dirs:
                 x = proj @ np.append(p, 1.0)
                 assert x[2] > 0
-                assert np.allclose(x[:2] / x[2], project(p, pose), atol=1e-10)
+                assert np.allclose(x[:2] / x[2], reference_project(p, pose), atol=1e-10)
 
 
 class TestTriangulateMidpoint:
@@ -350,6 +368,21 @@ class TestBestFit:
         with pytest.raises(InputError):
             best_fit_rotation(src, src)
 
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-7, 4)])
+    def test_cutoff_is_relative_to_the_spread(self, scale):
+        tri = scale * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        motion, resid = best_fit_motion(tri, tri)
+        assert np.allclose(motion.rotation.matrix, np.eye(3), atol=1e-12)
+        assert np.abs(motion.translation).max() <= 1e-12 * scale
+        assert resid <= 1e-12 * scale
+        # a tilted line, so rounding leaves s[1] just above zero
+        line = scale * np.outer([0.0, 1.0, 2.5], [0.3, -0.5, 0.8])
+        with pytest.raises(InputError, match="collinear"):
+            best_fit_motion(line, line)
+        spot = np.full((3, 3), scale)
+        with pytest.raises(InputError, match="collinear"):
+            best_fit_motion(spot, spot)
+
     def test_two_dimensional_points_rejected(self):
         src = np.array([[0.0, 0], [1, 0], [0, 1]])
         with pytest.raises(InputError):
@@ -368,7 +401,7 @@ def reference_fit(src, dst):
     s_mean, d_mean = src.mean(axis=0), dst.mean(axis=0)
     sc, dc = src - s_mean, dst - d_mean
     u, s, vt = np.linalg.svd(sc.T @ dc)
-    if s[1] <= 1e-12 * max(s[0], 1.0):
+    if s[1] <= 1e-12 * s[0]:
         return None
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
@@ -380,16 +413,22 @@ unit_box = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def fit_rows(draw, src):
-    """One target set: src moved rigidly, maybe mirrored, plus bounded noise."""
+def rotations(draw):
+    """Rotation matrix of a normalized quaternion drawn from the unit box."""
     q = draw(arrays(np.float64, 4, elements=unit_box))
     assume(np.linalg.norm(q) > 0.1)
     w, x, y, z = q / np.linalg.norm(q)
-    rot = np.array([
+    return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+
+
+@st.composite
+def fit_rows(draw, src):
+    """One target set: src moved rigidly, maybe mirrored, plus bounded noise."""
+    rot = draw(rotations())
     mirror = np.array([1.0, 1.0, -1.0 if draw(st.booleans()) else 1.0])
     t = draw(arrays(np.float64, 3, elements=unit_box))
     noise = draw(arrays(np.float64, src.shape, elements=unit_box)) * 0.1
@@ -417,6 +456,71 @@ class TestBestFitMotions:
         assert reference_fit(src, dst[row]) is None
         with pytest.raises(InputError):
             best_fit_motions(src, dst)
+
+
+@st.composite
+def projection_cases(draw):
+    """A pose at some scale and points on both sides of its focal point.
+
+    Perspective points sit at ``c * scale`` along the normal from the focal
+    point, with ``c`` at least 0.05 away from zero or exactly zero (in the
+    focal plane), so both implementations agree on which points raise.
+    """
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    r = draw(rotations())
+    origin = scale * draw(arrays(np.float64, 3, elements=unit_box))
+    n = draw(st.integers(1, 6))
+    lateral = scale * draw(arrays(np.float64, (n, 2), elements=unit_box))
+    if draw(st.booleans()):
+        pose = CameraPose(origin, r[:, 0], r[:, 1], None)
+        along = scale * draw(arrays(np.float64, n, elements=unit_box))
+        return pose, origin + lateral @ r[:, :2].T + along[:, None] * r[:, 2], scale
+    # the focal point lies on either side of the plane
+    focal_d = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    focal = origin - focal_d * scale * r[:, 2]
+    pose = CameraPose(origin, r[:, 0], r[:, 1], focal)
+    side = np.sign(focal_d) * r[:, 2]  # unit normal pointing away from the focal point
+    c = draw(
+        arrays(
+            np.float64,
+            n,
+            elements=st.one_of(st.floats(0.05, 3.0), st.floats(-3.0, -0.05), st.just(0.0)),
+        )
+    )
+    return pose, focal + lateral @ r[:, :2].T + (c * scale)[:, None] * side, scale
+
+
+class TestProjectPoints:
+    @given(case=projection_cases())
+    def test_batch_matches_per_point_reference(self, case):
+        pose, points, scale = case
+        refs = []
+        for p in points:
+            try:
+                refs.append(reference_project(p, pose))
+            except DegenerateProjection:
+                refs.append(None)
+        for p, ref in zip(points, refs):
+            if ref is None:
+                with pytest.raises(DegenerateProjection):
+                    project(p, pose)
+            else:
+                assert np.abs(project(p, pose) - ref).max() <= 1e-12 * scale
+        bad = [k for k, ref in enumerate(refs) if ref is None]
+        if bad:
+            with pytest.raises(DegenerateProjection) as exc:
+                project_points(points, pose)
+            assert exc.value.index == bad[0]
+            return
+        images, depths = project_points(points, pose)
+        assert images.shape == (len(points), 2) and depths.shape == (len(points),)
+        assert np.abs(images - np.array(refs)).max() <= 1e-12 * scale
+        if pose.is_orthographic:
+            assert np.all(depths == 1.0)
+        else:
+            expected = [float((p - pose.focal) @ pose.normal) for p in points]
+            assert np.all(depths > 0)
+            assert np.allclose(depths, np.abs(expected), rtol=1e-12, atol=0)
 
 
 class TestPoseValidation:

@@ -101,6 +101,19 @@ class TestRender:
         with pytest.raises(GenerationError, match=r"frame 1.*'c'"):
             render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
 
+    def test_curve_sample_behind_camera_names_frame_curve_and_sample(self):
+        # frame 2 moves the scene one unit back: only sample 2 ends up behind the camera
+        samples = np.array([[0.0, 0, 2], [0.1, 0, 2], [0.2, 0, 0.5], [0.3, 0, 2]])
+        scene = SceneSpec(
+            {"a": samples[0], "b": samples[-1], "c": vec3(0, 1, 2)},
+            [CurveSpec("arc", samples, ("a", "b"))],
+        )
+        script = MotionScript(
+            motions=[RigidMotion.identity(), RigidMotion(Rotation.identity(), vec3(0, 0, -1))]
+        )
+        with pytest.raises(GenerationError, match=r"^frame 2, curve 'arc', sample 2: "):
+            render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+
     def test_determinism(self):
         a = write_dataset(make_dataset(11))
         b = write_dataset(make_dataset(11))
@@ -124,6 +137,23 @@ class TestNoise:
         noisy = add_noise(ds, NoiseSpec(1e-2, seed=5))
         for lab in ds.truth.points3d:
             assert np.array_equal(noisy.truth.points3d[lab], ds.truth.points3d[lab])
+
+    def test_matches_per_label_reference_loop(self):
+        # pins the draw order: per frame, labels in sorted order, then each curve
+        scene = random_arc_scene(16, n_samples=12)
+        script = random_motion_script(17, 3, Regime.PERSPECTIVE_CALIBRATED, scene)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        noise = NoiseSpec(1e-3, seed=8)
+        noisy = add_noise(ds, noise)
+        rng = np.random.default_rng(noise.seed)
+        for f, g in zip(ds.frames, noisy.frames):
+            assert list(g.points) == sorted(f.points)
+            for lab in sorted(f.points):
+                expected = f.points[lab] + rng.normal(scale=noise.sigma, size=2)
+                assert np.array_equal(g.points[lab], expected)
+            for c, d in zip(f.curves, g.curves):
+                expected = c["samples"] + rng.normal(scale=noise.sigma, size=c["samples"].shape)
+                assert np.array_equal(d["samples"], expected)
 
     def test_empirical_sigma(self):
         # statistical oracle: stddev of the injected perturbations
