@@ -5,20 +5,27 @@ round-trips IEEE doubles exactly; key order is fixed, so identical
 datasets serialize to identical bytes.  Reading accepts any JSON layout
 of the documented schema.
 
-Top-level keys: ``regime``, ``frames`` (each with ``id``, ``points``,
-``curves``, optional ``epipoles``), optional ``truth`` (``points3d`` plus
-``motions`` with row-major rotations, or ``poses``; optional ``curves3d``)
-and optional ``noise`` metadata.
+Top-level keys: ``regime`` (``orthographic`` or ``perspective_calibrated``),
+``frames`` (each with ``id``, ``points`` and optional ``curves``), optional
+``truth`` (``points3d``, optional ``motions`` with row-major rotations,
+optional ``curves3d``) and optional ``noise`` metadata.  A frame's
+``points`` object maps each traced label to its image; every frame lists
+the same labels, in any key order, and the writer sorts them.
 
-A sample list (``frames[*].curves[*].samples``, ``truth.curves3d[*].samples``)
-and the values of a labeled-point object (``frames[*].points``,
-``frames[*].epipoles``, ``truth.points3d``) are converted to one array and
+Reading sorts the first frame's labels into the dataset's ``labels`` tuple
+and parses each frame's ``points`` object straight into its row of the
+``(k, n, 2)`` ``points`` array, in that order.  A frame whose labels differ
+from the first frame's raises ``frames[1].points: missing label 'b'`` (or
+names the label it adds).  A sample list (``frames[*].curves[*].samples``,
+``truth.curves3d[*].samples``) and the values of a labeled-point object
+(``frames[*].points``, ``truth.points3d``) are converted to one array and
 checked whole: ``dim``-vectors with finite entries.  Only a list or object
-that fails the check is walked row by row, to name the first bad row
-(``frames[0].curves[0].samples[3]: non-numeric entry``,
+that fails the check is walked row by row, in file order, to name the
+first bad row (``frames[0].curves[0].samples[3]: non-numeric entry``,
 ``frames[0].points['a']: non-finite entry``).  Entries are parsed as
 ``float()`` parses them, so numeric strings and booleans are accepted.
-Every malformed input raises :class:`ParseError` naming its location.
+Every malformed input, and a ``perspective_uncalibrated`` regime, which no
+solver reads, raises :class:`ParseError` naming its location.
 """
 
 from __future__ import annotations
@@ -29,28 +36,28 @@ import numpy as np
 
 from .dof import Regime
 from .errors import ParseError
-from .geometry import CameraPose, RigidMotion, Rotation
+from .geometry import RigidMotion, Rotation
 from .scene import FrameObs, MultiframeDataset, NoiseSpec, TruthBlock
 
 
-def _fmt(x: float) -> str:
-    if not np.isfinite(x):
+def _floats(a) -> list:
+    """``a`` as nested lists of Python floats, checked finite once for the whole array."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
         raise ParseError("non-finite number cannot be serialized")
-    out = format(float(x), ".17g")
-    # JSON requires a leading digit arrangement that float() already gives
-    return out
+    return a.tolist()
 
 
-def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(x) for x in np.asarray(v, dtype=float).ravel()) + "]"
-
-
-def _fmt_mat_rows(m) -> str:
-    return _fmt_vec(np.asarray(m, dtype=float).reshape(-1))
+def _fmt_vec(xs) -> str:
+    return "[" + ", ".join(format(x, ".17g") for x in xs) + "]"
 
 
 def _fmt_samples(samples) -> str:
-    return "[" + ", ".join(_fmt_vec(row) for row in np.asarray(samples, dtype=float)) + "]"
+    return "[" + ", ".join(map(_fmt_vec, _floats(samples))) + "]"
+
+
+def _fmt_labeled(labels, rows) -> str:
+    return ", ".join(f"{json.dumps(lab)}: {_fmt_vec(row)}" for lab, row in zip(labels, rows))
 
 
 def write_dataset(dataset: MultiframeDataset) -> bytes:
@@ -59,14 +66,12 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
     out.append("{")
     out.append(f'  "regime": {json.dumps(dataset.regime.value)},')
     out.append('  "frames": [')
+    points = _floats(dataset.points)
     for fi, f in enumerate(dataset.frames):
         out.append("    {")
         out.append(f'      "id": {int(f.id)},')
-        pts = ", ".join(
-            f"{json.dumps(lab)}: {_fmt_vec(f.points[lab])}" for lab in sorted(f.points)
-        )
-        comma = "," if (f.curves or f.epipoles) else ""
-        out.append(f'      "points": {{{pts}}}{comma}')
+        comma = "," if f.curves else ""
+        out.append(f'      "points": {{{_fmt_labeled(dataset.labels, points[fi])}}}{comma}')
         if f.curves:
             rows = []
             for c in f.curves:
@@ -78,40 +83,24 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
                 rows.append(
                     f'{{"id": {json.dumps(c["id"])}, "samples": {_fmt_samples(c["samples"])}{ends}}}'
                 )
-            comma = "," if f.epipoles else ""
-            out.append(f'      "curves": [{", ".join(rows)}]{comma}')
-        if f.epipoles:
-            epi = ", ".join(
-                f'"{j}": {_fmt_vec(f.epipoles[j])}' for j in sorted(f.epipoles)
-            )
-            out.append(f'      "epipoles": {{{epi}}}')
+            out.append(f'      "curves": [{", ".join(rows)}]')
         out.append("    }" + ("," if fi < len(dataset.frames) - 1 else ""))
     tail = "," if (dataset.truth is not None or dataset.noise is not None) else ""
     out.append("  ]" + tail)
     if dataset.truth is not None:
         t = dataset.truth
         out.append('  "truth": {')
-        pts = ", ".join(
-            f"{json.dumps(lab)}: {_fmt_vec(t.points3d[lab])}" for lab in sorted(t.points3d)
-        )
-        more = t.motions is not None or t.poses is not None or t.curves3d
+        labels = sorted(t.points3d)
+        pts = _fmt_labeled(labels, _floats([t.points3d[lab] for lab in labels]))
+        more = t.motions is not None or t.curves3d
         out.append(f'    "points3d": {{{pts}}}{"," if more else ""}')
         if t.motions is not None:
             rows = [
-                f'{{"rotation": {_fmt_mat_rows(m.rotation.matrix)}, '
-                f'"translation": {_fmt_vec(m.translation)}}}'
+                f'{{"rotation": {_fmt_vec(_floats(m.rotation.matrix.ravel()))}, '
+                f'"translation": {_fmt_vec(_floats(m.translation))}}}'
                 for m in t.motions
             ]
             out.append(f'    "motions": [{", ".join(rows)}]' + ("," if t.curves3d else ""))
-        if t.poses is not None:
-            rows = []
-            for p in t.poses:
-                focal = "null" if p.focal is None else _fmt_vec(p.focal)
-                rows.append(
-                    f'{{"origin": {_fmt_vec(p.origin)}, "basis_u": {_fmt_vec(p.basis_u)}, '
-                    f'"basis_v": {_fmt_vec(p.basis_v)}, "focal": {focal}}}'
-                )
-            out.append(f'    "poses": [{", ".join(rows)}]' + ("," if t.curves3d else ""))
         if t.curves3d:
             rows = [
                 f'{{"id": {json.dumps(c["id"])}, "samples": {_fmt_samples(c["samples"])}}}'
@@ -121,7 +110,7 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
         out.append("  }" + ("," if dataset.noise is not None else ""))
     if dataset.noise is not None:
         out.append(
-            f'  "noise": {{"sigma": {_fmt(dataset.noise.sigma)}, '
+            f'  "noise": {{"sigma": {format(float(dataset.noise.sigma), ".17g")}, '
             f'"seed": {int(dataset.noise.seed)}}}'
         )
     out.append("}")
@@ -144,14 +133,23 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
         raise ParseError("missing top-level key 'regime'")
     except ValueError:
         raise ParseError(f"unknown regime tag {doc.get('regime')!r}")
+    if regime is Regime.PERSPECTIVE_UNCALIBRATED:
+        raise ParseError("regime 'perspective_uncalibrated' has no solver; datasets are not read")
     raw_frames = doc.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise ParseError("'frames' must be a non-empty array")
+    labels = points = None
     frames = []
     for k, rf in enumerate(raw_frames):
         where = f"frames[{k}]"
         _object(rf, where, "id", "points")
-        pts = _parse_labeled(rf["points"], 2, f"{where}.points")
+        obj = _object(rf["points"], f"{where}.points")
+        if labels is None:
+            labels = tuple(sorted(obj))
+            points = np.empty((len(raw_frames), len(labels), 2))
+        elif obj.keys() != set(labels):
+            _label_mismatch(obj, labels, f"{where}.points")
+        points[k] = _parse_labeled(obj, labels, 2, f"{where}.points")
         curves = []
         for ci, rc in enumerate(_list(rf.get("curves") or [], f"{where}.curves")):
             cw = f"{where}.curves[{ci}]"
@@ -160,20 +158,7 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
             if rc.get("endpoints"):
                 entry["endpoints"] = _list(rc["endpoints"], f"{cw}.endpoints")[:]
             curves.append(entry)
-        epipoles = None
-        if rf.get("epipoles"):
-            raw = _object(rf["epipoles"], f"{where}.epipoles")
-            rows = _finite_rows(list(raw.values()), 2)
-            epipoles = {}
-            for i, (j, uv) in enumerate(raw.items()):
-                try:
-                    jj = int(j)
-                except ValueError:
-                    raise ParseError(f"{where}.epipoles: frame id {j!r} is not an integer")
-                epipoles[jj] = (
-                    rows[i] if rows is not None else _parse_vec(uv, 2, f"{where}.epipoles[{j}]")
-                )
-        frames.append(FrameObs(_int(rf["id"], f"{where}.id"), pts, curves, epipoles))
+        frames.append(FrameObs(_int(rf["id"], f"{where}.id"), curves))
     truth = None
     if "truth" in doc and doc["truth"] is not None:
         truth = _parse_truth(doc["truth"])
@@ -181,7 +166,15 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
     if "noise" in doc and doc["noise"] is not None:
         n = _object(doc["noise"], "noise", "sigma")
         noise = NoiseSpec(_float(n["sigma"], "noise.sigma"), _int(n.get("seed", 0), "noise.seed"))
-    return MultiframeDataset(regime, frames, truth, noise)
+    return MultiframeDataset(regime, labels, points, frames, truth, noise)
+
+
+def _label_mismatch(obj: dict, labels: tuple, where: str):
+    """Raise for a labeled-point object whose keys are not ``labels``."""
+    missing = sorted(set(labels) - obj.keys())
+    if missing:
+        raise ParseError(f"{where}: missing label {missing[0]!r}")
+    raise ParseError(f"{where}: label {sorted(obj.keys() - set(labels))[0]!r} is not in frames[0]")
 
 
 def _object(v, where: str, *keys: str) -> dict:
@@ -252,19 +245,21 @@ def _parse_rows(rows, dim: int, where: str) -> np.ndarray:
     return arr
 
 
-def _parse_labeled(v, dim: int, where: str) -> dict[str, np.ndarray]:
-    """A JSON object of ``dim``-vectors as a dict of rows of one array, keys in order."""
-    obj = _object(v, where)
-    arr = _finite_rows(list(obj.values()), dim)
+def _parse_labeled(obj: dict, labels, dim: int, where: str) -> np.ndarray:
+    """The values of a JSON object of ``dim``-vectors as one ``(n, dim)`` array, rows in
+    ``labels`` order; a bad value is named in the object's own key order."""
+    arr = _finite_rows([obj[lab] for lab in labels], dim)
     if arr is None:
-        return {lab: _parse_vec(x, dim, f"{where}[{lab!r}]") for lab, x in obj.items()}
-    return dict(zip(obj, arr))
+        rows = {lab: _parse_vec(x, dim, f"{where}[{lab!r}]") for lab, x in obj.items()}
+        arr = np.array([rows[lab] for lab in labels])
+    return arr.reshape(len(labels), dim)
 
 
 def _parse_truth(raw) -> TruthBlock:
     if not isinstance(raw, dict) or "points3d" not in raw:
         raise ParseError("'truth' must be an object with 'points3d'")
-    pts = _parse_labeled(raw["points3d"], 3, "truth.points3d")
+    obj = _object(raw["points3d"], "truth.points3d")
+    pts = dict(zip(obj, _parse_labeled(obj, list(obj), 3, "truth.points3d")))
     motions = None
     if raw.get("motions") is not None:
         motions = []
@@ -278,23 +273,6 @@ def _parse_truth(raw) -> TruthBlock:
                     _parse_vec(rm["translation"], 3, f"{where}.translation"),
                 )
             )
-    poses = None
-    if raw.get("poses") is not None:
-        poses = []
-        for i, rp in enumerate(_list(raw["poses"], "truth.poses")):
-            where = f"truth.poses[{i}]"
-            _object(rp, where, "origin", "basis_u", "basis_v")
-            focal = None
-            if rp.get("focal") is not None:
-                focal = _parse_vec(rp["focal"], 3, f"{where}.focal")
-            poses.append(
-                CameraPose(
-                    _parse_vec(rp["origin"], 3, f"{where}.origin"),
-                    _parse_vec(rp["basis_u"], 3, f"{where}.basis_u"),
-                    _parse_vec(rp["basis_v"], 3, f"{where}.basis_v"),
-                    focal,
-                )
-            )
     curves3d = None
     if raw.get("curves3d"):
         curves3d = []
@@ -304,4 +282,4 @@ def _parse_truth(raw) -> TruthBlock:
             curves3d.append(
                 {"id": rc["id"], "samples": _parse_rows(rc["samples"], 3, f"{where}.samples")}
             )
-    return TruthBlock(pts, motions, poses, curves3d)
+    return TruthBlock(pts, motions, curves3d)

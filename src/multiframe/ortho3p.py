@@ -349,11 +349,8 @@ def observations_from_dataset(dataset, labels=None) -> list[TriangleFrameObs]:
         labels = dataset.labels[:3]
     if len(labels) != 3:
         raise InputError("exactly three labels are required")
-    obs = []
-    for f in dataset.frames:
-        try:
-            p, q, r = (f.points[lab] for lab in labels)
-        except KeyError as exc:
-            raise InputError(f"label {exc.args[0]!r} missing from frame {f.id}")
-        obs.append(TriangleFrameObs.from_points(p, q, r))
-    return obs
+    for lab in labels:
+        if lab not in dataset.labels:
+            raise InputError(f"label {lab!r} missing from the dataset")
+    rows = dataset.points[:, [dataset.labels.index(lab) for lab in labels]]
+    return [TriangleFrameObs.from_points(p, q, r) for p, q, r in rows]

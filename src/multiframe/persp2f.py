@@ -18,8 +18,8 @@ Both frames are first re-expressed (a pure rotation about each focal
 point) so the distinguished point lies on the optical axis; the recorded
 rotations invert the recalculation afterwards.
 
-Every step runs on ``(n, 3)`` bearing arrays, rows in the first frame's
-label order, from the moment a frame is read: one rotation product per
+Every step runs on ``(n, 3)`` bearing arrays, rows in the dataset's label
+order, from the moment a frame is read: one rotation product per
 frame normalizes, one ``einsum`` builds the stacked system, one batched
 SVD of the ``(n, 3, 2)`` depth systems votes on a candidate, and the
 denormalized depths, structure and residuals are computed as arrays.
@@ -55,33 +55,26 @@ def bearing(image_points) -> np.ndarray:
     return np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
 
 
-def _stack_frames(points1: dict, points2: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Labels of ``points1`` in its order, and both frames' ``(n, 3)`` bearings."""
-    labels = list(points1)
-    try:
-        uv2 = list(map(points2.__getitem__, labels))
-    except KeyError as exc:
-        raise InputError(f"label {exc.args[0]!r} missing from the second frame") from None
-    return labels, bearing(list(points1.values())), bearing(uv2)
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizedPair:
-    """Correspondences after rotating the distinguished point onto the axis."""
+    """Correspondences after rotating the distinguished point onto the axis.
 
-    labels: list[str]
-    points1: dict[str, np.ndarray]
-    points2: dict[str, np.ndarray]
+    ``points1`` and ``points2`` are ``(n, 2)`` arrays whose rows follow ``labels``.
+    """
+
+    labels: tuple[str, ...]
+    points1: np.ndarray
+    points2: np.ndarray
     rot1: Rotation
     rot2: Rotation
     distinguished: str
 
-    def original_points(self, frame: int) -> dict[str, np.ndarray]:
+    def original_points(self, frame: int) -> np.ndarray:
         """Invert the recorded recalculation (round-trip check)."""
         rot = self.rot1 if frame == 1 else self.rot2
         pts = self.points1 if frame == 1 else self.points2
-        m = bearing(list(pts.values())) @ rot.matrix  # rows R^T b
-        return dict(zip(pts, m[:, :2] / m[:, 2:]))
+        m = bearing(pts) @ rot.matrix  # rows R^T b
+        return m[:, :2] / m[:, 2:]
 
 
 def _axis_rotation(b: np.ndarray) -> Rotation:
@@ -100,14 +93,25 @@ def _axis_rotation(b: np.ndarray) -> Rotation:
 
 
 def normalize_distinguished(
-    points1: dict[str, np.ndarray],
-    points2: dict[str, np.ndarray],
+    labels: tuple[str, ...],
+    uv1: np.ndarray,
+    uv2: np.ndarray,
     distinguished: str,
 ) -> NormalizedPair:
-    """Rotate both image frames so the distinguished point maps to (0, 0)."""
-    if distinguished not in points1 or distinguished not in points2:
-        raise InputError(f"distinguished label {distinguished!r} missing from a frame")
-    labels, b1, b2 = _stack_frames(points1, points2)
+    """Rotate both image frames so the distinguished point maps to (0, 0).
+
+    ``uv1`` and ``uv2`` are the two frames' ``(n, 2)`` image points, rows
+    following ``labels``.
+    """
+    labels = tuple(labels)
+    if distinguished not in labels:
+        raise InputError(f"distinguished label {distinguished!r} missing from the labels")
+    b1, b2 = bearing(uv1), bearing(uv2)
+    rows = min(len(b1), len(b2))
+    if rows < len(labels):
+        raise InputError(f"label {labels[rows]!r} missing from frame {1 if len(b1) == rows else 2}")
+    if b1.shape != (len(labels), 3) or b2.shape != b1.shape:
+        raise InputError("image points need one (u, v) row per label")
     d = labels.index(distinguished)
     rot1, rot2 = _axis_rotation(b1[d]), _axis_rotation(b2[d])
     m1, m2 = b1 @ rot1.matrix.T, b2 @ rot2.matrix.T
@@ -116,11 +120,9 @@ def normalize_distinguished(
         raise InputError(
             f"label {labels[int(behind.argmax())]!r} leaves the field of view when recalculated"
         )
-    uv1, uv2 = m1[:, :2] / m1[:, 2:], m2[:, :2] / m2[:, 2:]
-    uv1[d] = uv2[d] = 0.0
-    return NormalizedPair(
-        sorted(points1), dict(zip(labels, uv1)), dict(zip(labels, uv2)), rot1, rot2, distinguished
-    )
+    n1, n2 = m1[:, :2] / m1[:, 2:], m2[:, :2] / m2[:, 2:]
+    n1[d] = n2[d] = 0.0
+    return NormalizedPair(labels, n1, n2, rot1, rot2, distinguished)
 
 
 def elimination_constraint(e: np.ndarray, m1, m2) -> float:
@@ -154,12 +156,6 @@ def solve_composite(
     e /= np.linalg.norm(e)
     s_min = float(s[8]) if n >= 9 else 0.0
     return e, s_min, float(s_min / s[0]) if s[0] > 0 else 0.0
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
 
 
 def decompose(
@@ -285,13 +281,11 @@ def two_frame_reconstruct(
         raise InputError(NINE_POINT_MESSAGE)
     if distinguished is None:
         distinguished = labels[0]
-    pts1 = dataset.frames[0].points
-    pts2 = dataset.frames[1].points
+    uv1, uv2 = dataset.points[0], dataset.points[1]
 
     # zero-baseline scripts reduce to a pure rotation of the bearings; depths
     # are unrecoverable there, so report the rotation and flag the baseline
-    _, b1, b2 = _stack_frames(pts1, pts2)
-    rot_fit, resid = _pure_rotation_fit(b1, b2)
+    rot_fit, resid = _pure_rotation_fit(bearing(uv1), bearing(uv2))
     # resid is an angle from arccos of a dot product.  One or two ulps below 1
     # read as 1.5e-8 to 3e-8 rad, so an exact pure rotation lands there; 1e-7
     # clears that by three times and calls any smaller parallax zero baseline
@@ -308,10 +302,8 @@ def two_frame_reconstruct(
             survivors=0,
         )
 
-    norm = normalize_distinguished(pts1, pts2, distinguished)
-    order = list(norm.points1)
-    corr1 = np.array(list(norm.points1.values()))
-    corr2 = np.array(list(norm.points2.values()))
+    norm = normalize_distinguished(labels, uv1, uv2, distinguished)
+    corr1, corr2 = norm.points1, norm.points2
     e, s_min, inconsistency = solve_composite(corr1, corr2, allow_eight=allow_eight)
     structure_tol = max(tol.essential_structure, 100.0 * inconsistency)
     candidates = decompose(e, structure_tol=structure_tol, tol=tol)
@@ -324,12 +316,12 @@ def two_frame_reconstruct(
     a_norm, t_norm = candidates[winners[0]]
     vote = votes[winners[0]]
 
-    z_dist = vote.depths[order.index(distinguished), 0]
+    z_dist = vote.depths[labels.index(distinguished), 0]
     if not np.isfinite(z_dist) or z_dist <= 0:
         raise AmbiguityError("distinguished point depth is unrecoverable")
     scale = 1.0 / z_dist
-    kept = np.delete(np.arange(len(order)), vote.excluded)
-    names = np.array(order, dtype=object)
+    kept = np.delete(np.arange(len(labels)), vote.excluded)
+    names = np.array(labels, dtype=object)
     z = vote.depths[kept] * scale
     m1, m2 = bearing(corr1[kept]), bearing(corr2[kept])
     points3d = (z[:, :1] * m1) @ norm.rot1.matrix  # rows R1^T (Z1 m1)

@@ -1,10 +1,15 @@
 """Synthetic rigid scenes: fabrication, motion scripts, rendering, noise.
 
 The generator is the ground-truth oracle for every solver: it builds
-labeled 3-D points and curves, applies a motion script (object motions for
-the orthographic and calibrated regimes, camera poses for the uncalibrated
-regime), renders per-frame observations, and attaches the truth block.
-Everything is deterministic given the seeds.
+labeled 3-D points and curves, moves them by a script of object motions in
+front of the canonical orthographic or calibrated-perspective camera,
+renders per-frame observations, and attaches the truth block.  Everything
+is deterministic given the seeds.
+
+A :class:`MultiframeDataset` holds a sorted ``labels`` tuple and one
+``(k, n, 2)`` array ``points``, row ``j`` of frame ``i`` imaging
+``labels[j]``; each :class:`FrameObs` keeps a frame's id and curves.  A
+``PERSPECTIVE_UNCALIBRATED`` dataset, which no solver reads, is refused.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .dof import Regime
 from .errors import DegenerateProjection, GenerationError, InputError
-from .geometry import CameraPose, RigidMotion, Rotation, project_points, vec3
+from .geometry import CameraPose, RigidMotion, Rotation, project_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +63,6 @@ class SceneSpec:
                     raise InputError(f"curve {curve.id!r} endpoint label {lab!r} unknown")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted(self.points)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -75,68 +76,66 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class MotionScript:
-    """Per-frame object motions (frame 1 identity) or per-frame camera poses."""
+    """Per-frame object motions; frame 1's is the identity."""
 
-    motions: list[RigidMotion] | None = None
-    poses: list[CameraPose] | None = None
+    motions: list[RigidMotion]
 
     def __post_init__(self):
-        if (self.motions is None) == (self.poses is None):
-            raise InputError("script needs exactly one of motions or poses")
-        if self.motions is not None:
-            if len(self.motions) < 1:
-                raise InputError("script needs at least one frame")
-            first = self.motions[0]
-            if not np.allclose(first.rotation.matrix, np.eye(3)) or not np.allclose(
-                first.translation, 0.0
-            ):
-                raise InputError("first motion must be the identity (reference frame)")
-        elif len(self.poses) < 1:
+        if not self.motions:
             raise InputError("script needs at least one frame")
+        first = self.motions[0]
+        if not np.allclose(first.rotation.matrix, np.eye(3)) or not np.allclose(
+            first.translation, 0.0
+        ):
+            raise InputError("first motion must be the identity (reference frame)")
 
     @property
     def n_frames(self) -> int:
-        return len(self.motions) if self.motions is not None else len(self.poses)
+        return len(self.motions)
 
 
 @dataclass(frozen=True, eq=False)
 class FrameObs:
-    """Observations of one frame: labeled image points, curves, epipoles."""
+    """One frame's id and curves; its points are a row of the dataset's array."""
 
     id: int
-    points: dict[str, np.ndarray]
     curves: list[dict]  # {"id", "samples" (n,2), "endpoints" optional}
-    epipoles: dict[int, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class TruthBlock:
     points3d: dict[str, np.ndarray]
     motions: list[RigidMotion] | None = None
-    poses: list[CameraPose] | None = None
     curves3d: list[dict] | None = None  # {"id", "samples" (n,3)}
 
 
 @dataclass(frozen=True, eq=False)
 class MultiframeDataset:
+    """Frames of one regime: ``points[i, j]`` images ``labels[j]`` in ``frames[i]``."""
+
     regime: Regime
+    labels: tuple[str, ...]
+    points: np.ndarray  # (k, n, 2)
     frames: list[FrameObs]
     truth: TruthBlock | None = None
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
+        if self.regime is Regime.PERSPECTIVE_UNCALIBRATED:
+            raise InputError("no solver reads perspective_uncalibrated datasets")
         if not self.frames:
             raise InputError("dataset needs at least one frame")
-        label_sets = {frozenset(f.points) for f in self.frames}
-        if len(label_sets) != 1:
-            raise InputError("all frames must share the same traced label set")
-        has_epi = any(f.epipoles for f in self.frames)
-        if has_epi and self.regime is not Regime.PERSPECTIVE_UNCALIBRATED:
-            raise InputError("epipole tables only belong to uncalibrated datasets")
-
-    @property
-    def labels(self) -> list[str]:
-        return sorted(self.frames[0].points)
+        labels = tuple(self.labels)
+        if list(labels) != sorted(set(labels)):
+            raise InputError("labels must be distinct and sorted")
+        points = np.asarray(self.points, dtype=float)
+        if points.shape != (len(self.frames), len(labels), 2):
+            raise InputError(
+                f"points of shape {points.shape} do not hold one (u, v) row per frame "
+                f"and label: {len(self.frames)} frames share a label set of {len(labels)}"
+            )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "points", points)
 
     @property
     def n_frames(self) -> int:
@@ -149,14 +148,16 @@ def _pose_for_regime(regime: Regime) -> CameraPose:
     return CameraPose.canonical_perspective()
 
 
-def _images(points: np.ndarray, pose: CameraPose, motion: RigidMotion | None, where):
-    """Images of ``(n, 3)`` points moved by ``motion``; ``where(row)`` names an unprojectable one."""
-    if motion is not None:
-        # R p + t row by row in one stacked product; it rounds as RigidMotion.apply
-        # does, where points @ R.T can differ in the last bit
-        points = (motion.rotation.matrix @ points[..., None])[..., 0] + motion.translation
+def _moved(points: np.ndarray, motion: RigidMotion) -> np.ndarray:
+    """``(n, 3)`` points moved by ``motion``: R p + t row by row in one stacked
+    product, which rounds as RigidMotion.apply does (``points @ R.T`` may not)."""
+    return (motion.rotation.matrix @ points[..., None])[..., 0] + motion.translation
+
+
+def _images(points: np.ndarray, pose: CameraPose, motion: RigidMotion, where):
+    """Images of ``(n, 3)`` points moved by ``motion``; ``where(row)`` names a failed one."""
     try:
-        return project_points(points, pose)[0]
+        return project_points(_moved(points, motion), pose)[0]
     except DegenerateProjection as exc:
         raise GenerationError(f"{where(exc.index)}: {exc}") from exc
 
@@ -164,27 +165,22 @@ def _images(points: np.ndarray, pose: CameraPose, motion: RigidMotion | None, wh
 def render(scene: SceneSpec, script: MotionScript, regime: Regime) -> MultiframeDataset:
     """Project every labeled point and curve sample into every frame.
 
-    For the uncalibrated regime the script must supply camera poses and the
-    exact epipole table is attached; otherwise the script supplies object
-    motions in front of the canonical camera.  The truth block always rides
-    along.  A point or curve sample at or behind a focal plane raises
-    :class:`GenerationError` naming the frame and the label, or the frame,
-    the curve id and the sample index.
+    The script's object motions move the scene in front of the regime's
+    canonical camera, one projection product per frame for the points (in
+    scene order, then permuted into sorted label order) and one per curve.
+    The truth block always rides along.  A point or curve sample at or
+    behind the focal plane raises :class:`GenerationError` naming the frame
+    and the label, or the frame, the curve id and the sample index.
     """
-    uncalibrated = regime is Regime.PERSPECTIVE_UNCALIBRATED
-    if uncalibrated and script.poses is None:
-        raise InputError("uncalibrated rendering moves the camera: supply poses")
-    if not uncalibrated and script.motions is None:
-        raise InputError("object-motion rendering requires a motions script")
     labels = list(scene.points)
-    points = np.array(list(scene.points.values()))
-    canonical = None if uncalibrated else _pose_for_regime(regime)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    xyz = np.array(list(scene.points.values()))
+    pose = _pose_for_regime(regime)
+    points = np.empty((script.n_frames, len(labels), 2))
     frames = []
-    for i in range(script.n_frames):
-        # one camera per frame: the script's pose, or the canonical one facing the moved scene
-        pose = script.poses[i] if uncalibrated else canonical
-        motion = None if uncalibrated else script.motions[i]
-        pts = _images(points, pose, motion, lambda k: f"frame {i + 1}, point {labels[k]!r}")
+    for i, motion in enumerate(script.motions):
+        pts = _images(xyz, pose, motion, lambda k: f"frame {i + 1}, point {labels[k]!r}")
+        points[i] = pts[order]
         curves = [
             {
                 "id": c.id,
@@ -195,41 +191,29 @@ def render(scene: SceneSpec, script: MotionScript, regime: Regime) -> Multiframe
             }
             for c in scene.curves
         ]
-        epi = None
-        if uncalibrated:
-            others = [j for j in range(script.n_frames) if j != i]
-            focals = _images(
-                np.array([script.poses[j].focal for j in others]),
-                pose,
-                None,
-                lambda k: f"frame {i + 1}: focal point of frame {others[k] + 1} not projectable",
-            )
-            epi = dict(zip([j + 1 for j in others], focals))
-        frames.append(FrameObs(i + 1, dict(zip(labels, pts)), curves, epi))
+        frames.append(FrameObs(i + 1, curves))
     truth = TruthBlock(
         dict(scene.points),
-        motions=None if uncalibrated else list(script.motions),
-        poses=list(script.poses) if uncalibrated else None,
+        motions=list(script.motions),
         curves3d=[{"id": c.id, "samples": c.samples.copy()} for c in scene.curves],
     )
-    return MultiframeDataset(regime, frames, truth)
+    return MultiframeDataset(regime, [labels[j] for j in order], points, frames, truth)
 
 
 def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset:
     """Isotropic Gaussian perturbation of every stored image point.
 
     Deterministic per seed: each frame draws one ``(n, 2)`` block for its
-    points in sorted label order, then one block per curve.  The truth
-    block and the epipole tables are left untouched (epipoles stay exact
-    by design).
+    points in label order, then one block per curve.  The truth block is
+    left untouched.
     """
     if noise.sigma == 0.0:
         return dataset
     rng = np.random.default_rng(noise.seed)
+    points = np.empty_like(dataset.points)
     frames = []
-    for f in dataset.frames:
-        labels, pts = zip(*sorted(f.points.items()))
-        pts = np.array(pts) + rng.normal(scale=noise.sigma, size=(len(labels), 2))
+    for f, pts, out in zip(dataset.frames, dataset.points, points):
+        out[:] = pts + rng.normal(scale=noise.sigma, size=pts.shape)
         curves = [
             {
                 **c,
@@ -237,8 +221,8 @@ def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset
             }
             for c in f.curves
         ]
-        frames.append(FrameObs(f.id, dict(zip(labels, pts)), curves, f.epipoles))
-    return MultiframeDataset(dataset.regime, frames, dataset.truth, noise)
+        frames.append(FrameObs(f.id, curves))
+    return MultiframeDataset(dataset.regime, dataset.labels, points, frames, dataset.truth, noise)
 
 
 def rerender_truth(dataset: MultiframeDataset) -> MultiframeDataset:
@@ -254,12 +238,7 @@ def rerender_truth(dataset: MultiframeDataset) -> MultiframeDataset:
             if all(e in t.points3d for e in ends):
                 curves.append(CurveSpec(c["id"], by_id[c["id"]]["samples"], ends))
     scene = SceneSpec(dict(t.points3d), curves, seed=0)
-    script = (
-        MotionScript(motions=t.motions)
-        if t.motions is not None
-        else MotionScript(poses=t.poses)
-    )
-    return render(scene, script, dataset.regime)
+    return render(scene, MotionScript(motions=t.motions), dataset.regime)
 
 
 def validate_general_position(dataset: MultiframeDataset) -> list[str]:
@@ -271,13 +250,14 @@ def validate_general_position(dataset: MultiframeDataset) -> list[str]:
     """
     warnings: list[str] = []
     labels = dataset.labels
-    for f in dataset.frames:
+    for f, frame in zip(dataset.frames, dataset.points):
+        pts = dict(zip(labels, frame))
         for a, b in itertools.combinations(labels, 2):
-            if np.linalg.norm(f.points[a] - f.points[b]) < 1e-9:
+            if np.linalg.norm(pts[a] - pts[b]) < 1e-9:
                 warnings.append(f"frame {f.id}: labels {a!r} and {b!r} project together")
         for a, b, c in itertools.combinations(labels[: min(len(labels), 8)], 3):
-            u = f.points[b] - f.points[a]
-            v = f.points[c] - f.points[a]
+            u = pts[b] - pts[a]
+            v = pts[c] - pts[a]
             den = np.linalg.norm(u) * np.linalg.norm(v)
             if den > 0 and abs(u[0] * v[1] - u[1] * v[0]) < 1e-9 * den:
                 warnings.append(f"frame {f.id}: labels {a!r},{b!r},{c!r} collinear")
@@ -288,7 +268,7 @@ def validate_general_position(dataset: MultiframeDataset) -> list[str]:
 def _curve_tangency_warnings(dataset: MultiframeDataset) -> list[str]:
     out: list[str] = []
     t = dataset.truth
-    if t is None or t.poses is None and t.motions is None:
+    if t is None or t.motions is None:
         return out
     if dataset.regime is Regime.ORTHOGRAPHIC or not dataset.frames[0].curves:
         return out
@@ -298,7 +278,8 @@ def _curve_tangency_warnings(dataset: MultiframeDataset) -> list[str]:
 
     ref_curves = {c["id"]: c["samples"] for c in dataset.frames[0].curves}
     pose_ref = truth_poses(dataset, 0)
-    for f in dataset.frames[1:]:
+    # frame i's truth is motion i: frames are matched to the truth by position, not id
+    for i, f in enumerate(dataset.frames[1:], start=1):
         pairs = [
             (c["id"], ref_curves[c["id"]], c["samples"])
             for c in f.curves
@@ -311,7 +292,7 @@ def _curve_tangency_warnings(dataset: MultiframeDataset) -> list[str]:
         _, dirs, degenerate = epipolar_lines(
             np.concatenate([ref[:-1] for _, ref, _ in pairs]),
             pose_ref,
-            truth_poses(dataset, f.id - 1),
+            truth_poses(dataset, i),
         )
         bounds = np.cumsum([len(s) - 1 for _, _, s in pairs])[:-1]
         for (cid, _, s), d, bad in zip(pairs, np.split(dirs, bounds), np.split(degenerate, bounds)):
@@ -334,10 +315,8 @@ def truth_poses(dataset: MultiframeDataset, frame_idx: int) -> CameraPose:
     frame i's camera is the canonical pose carried by the inverse motion.
     """
     t = dataset.truth
-    if t is None:
-        raise InputError("dataset carries no truth block")
-    if t.poses is not None:
-        return t.poses[frame_idx]
+    if t is None or t.motions is None:
+        raise InputError("dataset carries no motion truth")
     pose = _pose_for_regime(dataset.regime)
     inv = t.motions[frame_idx].inverse()
     focal = None if pose.focal is None else inv.apply(pose.focal)
@@ -419,12 +398,10 @@ def random_motion_script(
 ) -> MotionScript:
     """Motion script keeping every scene element projectable in every frame."""
     rng = np.random.default_rng(seed)
-    if regime is Regime.PERSPECTIVE_UNCALIBRATED:
-        return MotionScript(poses=random_camera_ring(seed, n_frames))
     motions = [RigidMotion.identity()]
-    all_pts = list(scene.points.values()) + [
-        q for c in scene.curves for q in c.samples
-    ]
+    all_pts = np.concatenate(
+        [np.array(list(scene.points.values()))] + [c.samples for c in scene.curves]
+    )
     centroid = np.mean(all_pts, axis=0)
     for _ in range(n_frames - 1):
         for _attempt in range(200):
@@ -436,59 +413,9 @@ def random_motion_script(
                 trans = rng.uniform(-0.35, 0.35, size=3)
                 trans[2] = rng.uniform(-0.25, 0.6)
             motion = RigidMotion(rot, centroid - rot.apply(centroid) + trans)
-            if regime is Regime.ORTHOGRAPHIC or all(
-                (motion.apply(p))[2] > 0.6 for p in all_pts
-            ):
+            if regime is Regime.ORTHOGRAPHIC or (_moved(all_pts, motion)[:, 2] > 0.6).all():
                 motions.append(motion)
                 break
         else:
             raise GenerationError("could not find a projectable motion")
     return MotionScript(motions=motions)
-
-
-def random_camera_ring(seed: int, n_frames: int = 4, radius_range=(3.6, 4.0)) -> list[CameraPose]:
-    """Cameras on a jittered ring looking roughly at the origin.
-
-    Directions are kept 35-105 degrees apart so every focal point sits in
-    front of every other camera (all epipoles well defined).
-    """
-    rng = np.random.default_rng(seed)
-    for _attempt in range(500):
-        dirs = []
-        for k in range(n_frames):
-            polar = np.deg2rad(45.0 + rng.uniform(-8.0, 8.0))
-            azim = np.deg2rad(90.0 * k + rng.uniform(-14.0, 14.0))
-            dirs.append(
-                vec3(
-                    np.sin(polar) * np.cos(azim),
-                    np.sin(polar) * np.sin(azim),
-                    np.cos(polar),
-                )
-            )
-        angles = [
-            np.degrees(np.arccos(np.clip(a @ b, -1, 1)))
-            for a, b in itertools.combinations(dirs, 2)
-        ]
-        if min(angles) < 35.0 or max(angles) > 105.0:
-            continue
-        poses = []
-        ok = True
-        for d in dirs:
-            focal = d * rng.uniform(*radius_range)
-            target = rng.uniform(-0.15, 0.15, size=3)  # look near the origin
-            n = target - focal
-            n /= np.linalg.norm(n)
-            u = np.cross(vec3(0, 0, 1.0), n)
-            if np.linalg.norm(u) < 0.2:
-                u = np.cross(vec3(0, 1.0, 0), n)
-            u /= np.linalg.norm(u)
-            v = np.cross(n, u)
-            poses.append(CameraPose(focal + n, u, v, focal))
-        # every focal must be in front of every other camera, with margin
-        for i, pi in enumerate(poses):
-            for j, pj in enumerate(poses):
-                if i != j and float((pj.focal - pi.focal) @ pi.normal) < 0.5:
-                    ok = False
-        if ok:
-            return poses
-    raise GenerationError("could not place a valid uncalibrated camera ring")

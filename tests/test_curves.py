@@ -50,9 +50,7 @@ class TestEpipolarLine:
     def test_line_passes_through_corresponding_image(self):
         ds, scene = arc_dataset(1, n_samples=30)
         p1, p2 = truth_poses(ds, 0), truth_poses(ds, 1)
-        for lab in ds.labels:
-            img1 = ds.frames[0].points[lab]
-            img2 = ds.frames[1].points[lab]
+        for img1, img2 in zip(ds.points[0], ds.points[1]):
             line = epipolar_line(img1, p1, p2)
             off = img2 - line.point
             dist = abs(off[0] * line.direction[1] - off[1] * line.direction[0])
@@ -80,7 +78,7 @@ class TestEpipolarLine:
         p1, p2 = truth_poses(ds, 0), truth_poses(ds, 1)
         from multiframe.geometry import ray_through
 
-        img1 = ds.frames[0].points[ds.labels[0]]
+        img1 = ds.points[0][0]
         line = epipolar_line(img1, p1, p2)
         ray = ray_through(img1, p1)
         for t in (1.5, 2.5, 4.0):

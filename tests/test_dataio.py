@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from multiframe.dataio import _parse_vec, read_dataset, write_dataset
 from multiframe.dof import Regime
 from multiframe.errors import ParseError
+from multiframe.persp2f import two_frame_reconstruct
 from multiframe.scene import (
     NoiseSpec,
     add_noise,
@@ -125,18 +126,6 @@ class TestSampleErrors:
         assert parse_error(doc) == f"truth.curves3d[0].samples[2]: {message}"
 
 
-EPIPOLE = ("frames", 0, "epipoles")
-
-
-def with_epipoles(epipoles):
-    doc = edited(EPIPOLE, epipoles)
-    doc["regime"] = "perspective_uncalibrated"
-    return doc
-
-
-WITH_EPIPOLES = with_epipoles({"1": [0.5, -0.25], "2": [1.5, 0.75]})
-
-
 class TestLabeledPointErrors:
     """Each bad labeled point is named by its label, exactly as the per-label parser names it."""
 
@@ -163,21 +152,46 @@ class TestLabeledPointErrors:
         doc = edited(("truth", "points3d", "b"), value)
         assert parse_error(doc) == f"truth.points3d['b']: {message}"
 
-    @pytest.mark.parametrize("value, message", BAD_2)
-    def test_bad_epipole(self, value, message):
-        doc = copy.deepcopy(WITH_EPIPOLES)
-        doc["frames"][0]["epipoles"]["2"] = value
-        assert parse_error(doc) == f"frames[0].epipoles[2]: {message}"
-
     def test_first_bad_label_is_named(self):
         doc = edited(("frames", 0, "points", "b"), ["x", 0.0])
         doc["frames"][0]["points"]["c"] = [0.0]
         assert parse_error(doc) == "frames[0].points['b']: non-numeric entry"
 
-    def test_epipole_frame_id_not_an_integer(self):
-        doc = copy.deepcopy(WITH_EPIPOLES)
-        doc["frames"][0]["epipoles"]["x"] = [0.0, 0.0]
-        assert parse_error(doc) == "frames[0].epipoles: frame id 'x' is not an integer"
+
+def two_frames(points2):
+    """``BASE`` with a second frame holding ``points2``."""
+    doc = copy.deepcopy(BASE)
+    doc["frames"][0]["points"] = {"a": [0.125, -0.5], "b": [0.5, 0.25]}
+    doc["frames"].append({"id": 1, "points": points2})
+    return doc
+
+
+class TestLabelSet:
+    """Every frame lists the first frame's labels, in any order."""
+
+    def test_missing_label_names_frame_and_label(self):
+        doc = two_frames({"a": [0.0, 0.0], "c": [1.0, 1.0]})
+        assert parse_error(doc) == "frames[1].points: missing label 'b'"
+
+    def test_extra_label_names_frame_and_label(self):
+        doc = two_frames({"a": [0.0, 0.0], "b": [1.0, 1.0], "c": [2.0, 2.0]})
+        assert parse_error(doc) == "frames[1].points: label 'c' is not in frames[0]"
+
+    def test_key_order_does_not_matter(self):
+        # frame 2 lists its keys reversed: the same labels, points and reconstruction
+        scene = random_cloud_scene(5, n_points=10)
+        script = random_motion_script(6, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
+        blob = write_dataset(render(scene, script, Regime.PERSPECTIVE_CALIBRATED))
+        doc = json.loads(blob)
+        doc["frames"][1]["points"] = dict(reversed(doc["frames"][1]["points"].items()))
+        assert list(doc["frames"][1]["points"]) != list(doc["frames"][0]["points"])
+        ds, ref = read_dataset(dumps(doc)), read_dataset(blob)
+        assert ds.labels == ref.labels == tuple(sorted(ds.labels))
+        assert same_bits(ds.points, ref.points)
+        est, want = two_frame_reconstruct(ds), two_frame_reconstruct(ref)
+        assert same_bits(est.rotation.matrix, want.rotation.matrix)
+        assert same_bits(est.translation, want.translation)
+        assert est.depths == want.depths
 
 
 class TestSampleAcceptance:
@@ -327,14 +341,8 @@ class TestProperties:
         doc = edited(("frames", 0, "points"), points)
         doc["truth"]["points3d"] = points3d
         ds = read_dataset(dumps(doc))
-        assert same_points(ds.frames[0].points, per_label(points, 2))
+        # frame rows follow the sorted labels
+        want = per_label(points, 2)
+        assert ds.points.shape == (1, len(points), 2)
+        assert same_points(dict(zip(ds.labels, ds.points[0])), {k: want[k] for k in sorted(want)})
         assert same_points(ds.truth.points3d, per_label(points3d, 3))
-
-    @settings(max_examples=40)
-    @given(epipoles=st.dictionaries(
-        st.integers(0, 99).map(str), st.lists(entries, min_size=2, max_size=2), min_size=1
-    ))
-    def test_epipoles_equal_per_label_parse(self, epipoles):
-        ds = read_dataset(dumps(with_epipoles(epipoles)))
-        want = {int(j): v for j, v in per_label(epipoles, 2).items()}
-        assert same_points(ds.frames[0].epipoles, want)

@@ -53,46 +53,58 @@ def angle_between(u, v):
     return np.arccos(np.clip(u @ v, -1, 1))
 
 
+def normalize_in_key_order(pts1, pts2, distinguished):
+    """normalize_distinguished on two label dicts, rows in ``pts1``'s key order."""
+    labels = list(pts1)
+    return normalize_distinguished(
+        labels, np.array(list(pts1.values())), np.array([pts2[l] for l in labels]), distinguished
+    )
+
+
 class TestNormalize:
     def test_distinguished_maps_to_origin(self):
         ds = make_scene(1)
         lab = ds.labels[3]
-        norm = normalize_distinguished(ds.frames[0].points, ds.frames[1].points, lab)
-        assert np.allclose(norm.points1[lab], 0.0, atol=1e-12)
-        assert np.allclose(norm.points2[lab], 0.0, atol=1e-12)
+        norm = normalize_distinguished(ds.labels, ds.points[0], ds.points[1], lab)
+        assert np.allclose(norm.points1[3], 0.0, atol=1e-12)
+        assert np.allclose(norm.points2[3], 0.0, atol=1e-12)
 
     def test_already_centered_gives_identity(self):
-        pts1 = {"a": np.zeros(2), "b": np.array([0.3, 0.1])}
-        pts2 = {"a": np.zeros(2), "b": np.array([0.2, -0.1])}
-        norm = normalize_distinguished(pts1, pts2, "a")
+        pts1 = np.array([[0.0, 0.0], [0.3, 0.1]])
+        pts2 = np.array([[0.0, 0.0], [0.2, -0.1]])
+        norm = normalize_distinguished(("a", "b"), pts1, pts2, "a")
         assert np.allclose(norm.rot1.matrix, np.eye(3))
         assert np.allclose(norm.rot2.matrix, np.eye(3))
 
     def test_roundtrip_restores_originals(self):
         ds = make_scene(2)
         lab = ds.labels[0]
-        norm = normalize_distinguished(ds.frames[0].points, ds.frames[1].points, lab)
+        norm = normalize_distinguished(ds.labels, ds.points[0], ds.points[1], lab)
         back1 = norm.original_points(1)
         back2 = norm.original_points(2)
-        for l in ds.labels:
-            assert np.allclose(back1[l], ds.frames[0].points[l], atol=1e-12)
-            assert np.allclose(back2[l], ds.frames[1].points[l], atol=1e-12)
+        for j in range(len(ds.labels)):
+            assert np.allclose(back1[j], ds.points[0][j], atol=1e-12)
+            assert np.allclose(back2[j], ds.points[1][j], atol=1e-12)
 
     def test_missing_label_rejected(self):
         with pytest.raises(InputError):
-            normalize_distinguished({"a": np.zeros(2)}, {"a": np.zeros(2)}, "zz")
+            normalize_distinguished(("a",), np.zeros((1, 2)), np.zeros((1, 2)), "zz")
 
     def test_label_missing_from_second_frame_named(self):
-        pts1 = {"a": np.zeros(2), "b": np.array([0.3, 0.1]), "c": np.array([0.1, 0.2])}
-        pts2 = {"a": np.zeros(2), "c": np.array([0.2, -0.1])}
+        # the second frame's array ends after the row of "a": "b" is the first label without one
+        pts1 = np.array([[0.0, 0.0], [0.3, 0.1], [0.1, 0.2]])
+        pts2 = np.zeros((1, 2))
         with pytest.raises(InputError, match="'b'"):
-            normalize_distinguished(pts1, pts2, "a")
+            normalize_distinguished(("a", "b", "c"), pts1, pts2, "a")
+        with pytest.raises(InputError, match="one \\(u, v\\) row per label"):
+            normalize_distinguished(("a", "b", "c"), pts1, np.zeros((4, 2)), "a")
 
     def test_field_of_view_names_first_label_in_points1_order(self):
         # the distinguished point sits 84 degrees off axis in both frames, on
         # opposite sides; turning it onto the axis carries a point on the far
         # side behind the focal point.  "c" leaves in frame 2 only, "b" in
-        # frame 1 only and "a" in both; the keys are deliberately unsorted.
+        # frame 1 only and "a" in both; the labels are deliberately unsorted,
+        # and the first one in row order is named.
         far, near = 10.0, 0.1
         pts1 = {
             "d": np.array([far, 0.0]),
@@ -109,24 +121,24 @@ class TestNormalize:
             "a": np.array([far, 0.0]),
         }
         with pytest.raises(InputError, match="label 'c' leaves the field of view"):
-            normalize_distinguished(pts1, pts2, "d")
+            normalize_in_key_order(pts1, pts2, "d")
         del pts1["c"], pts2["c"]
         with pytest.raises(InputError, match="label 'b' leaves the field of view"):
-            normalize_distinguished(pts1, pts2, "d")
+            normalize_in_key_order(pts1, pts2, "d")
         del pts1["b"], pts2["b"]
         with pytest.raises(InputError, match="label 'a' leaves the field of view"):
-            normalize_distinguished(pts1, pts2, "d")
+            normalize_in_key_order(pts1, pts2, "d")
         del pts1["a"], pts2["a"]
-        norm = normalize_distinguished(pts1, pts2, "d")
-        assert np.allclose(norm.points1["d"], 0.0) and np.allclose(norm.points2["d"], 0.0)
+        norm = normalize_in_key_order(pts1, pts2, "d")
+        assert np.allclose(norm.points1[0], 0.0) and np.allclose(norm.points2[0], 0.0)
 
 
 class TestEliminationConstraint:
     def test_truth_composite_annihilates_correspondences(self):
         ds = make_scene(3)
         e = truth_composite(ds)
-        for lab in ds.labels:
-            r = elimination_constraint(e, ds.frames[0].points[lab], ds.frames[1].points[lab])
+        for m1, m2 in zip(ds.points[0], ds.points[1]):
+            r = elimination_constraint(e, m1, m2)
             assert abs(r) < 1e-10
 
     def test_zero_matrix_vanishes_everywhere(self):
@@ -147,9 +159,7 @@ class TestEliminationConstraint:
 class TestSolveComposite:
     def test_recovers_truth_up_to_sign(self):
         ds = make_scene(5)
-        labels = ds.labels
-        c1 = [ds.frames[0].points[l] for l in labels[:9]]
-        c2 = [ds.frames[1].points[l] for l in labels[:9]]
+        c1, c2 = ds.points[:, :9]
         e, s_min, _ = solve_composite(c1, c2)
         e_true = truth_composite(ds)
         if np.sum(e * e_true) < 0:
@@ -164,9 +174,7 @@ class TestSolveComposite:
 
     def test_eight_points_need_override(self):
         ds = make_scene(6)
-        labels = ds.labels[:8]
-        c1 = [ds.frames[0].points[l] for l in labels]
-        c2 = [ds.frames[1].points[l] for l in labels]
+        c1, c2 = ds.points[:, :8]
         with pytest.raises(InputError, match="ine"):
             solve_composite(c1, c2)
         e, _, _ = solve_composite(c1, c2, allow_eight=True)
@@ -178,9 +186,7 @@ class TestSolveComposite:
     def test_noisy_points_keep_small_residuals(self):
         ds = make_scene(7, n_points=20)
         noisy = add_noise(ds, NoiseSpec(1e-4, seed=8))
-        labels = noisy.labels
-        c1 = [noisy.frames[0].points[l] for l in labels]
-        c2 = [noisy.frames[1].points[l] for l in labels]
+        c1, c2 = noisy.points
         e, _, _ = solve_composite(c1, c2)
         for p1, p2 in zip(c1, c2):
             assert abs(elimination_constraint(e, p1, p2)) < 1e-3
@@ -232,11 +238,8 @@ class TestRecoverDepths:
     def test_unique_survivor_with_true_depths(self):
         ds = make_scene(11)
         labels = ds.labels
-        norm = normalize_distinguished(
-            ds.frames[0].points, ds.frames[1].points, labels[0]
-        )
-        c1 = [norm.points1[l] for l in labels]
-        c2 = [norm.points2[l] for l in labels]
+        norm = normalize_distinguished(labels, ds.points[0], ds.points[1], labels[0])
+        c1, c2 = norm.points1, norm.points2
         e, _, _ = solve_composite(c1, c2)
         votes = [recover_depths(a, t, c1, c2) for a, t in decompose(e)]
         assert sum(v.accepted for v in votes) == 1
@@ -244,11 +247,8 @@ class TestRecoverDepths:
     def test_reversed_baseline_rejected(self):
         ds = make_scene(12)
         labels = ds.labels
-        norm = normalize_distinguished(
-            ds.frames[0].points, ds.frames[1].points, labels[0]
-        )
-        c1 = [norm.points1[l] for l in labels]
-        c2 = [norm.points2[l] for l in labels]
+        norm = normalize_distinguished(labels, ds.points[0], ds.points[1], labels[0])
+        c1, c2 = norm.points1, norm.points2
         e, _, _ = solve_composite(c1, c2)
         cands = decompose(e)
         votes = [recover_depths(a, t, c1, c2) for a, t in cands]

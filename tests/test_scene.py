@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from multiframe.scene import (
     SceneSpec,
     add_noise,
     random_arc_scene,
-    random_camera_ring,
     random_cloud_scene,
     random_motion_script,
     random_triangle_scene,
@@ -36,9 +37,9 @@ class TestRender:
         scene = random_triangle_scene(2)
         script = MotionScript(motions=[RigidMotion.identity()] * 3)
         ds = render(scene, script, Regime.ORTHOGRAPHIC)
-        for lab in ds.labels:
-            for f in ds.frames[1:]:
-                assert np.allclose(f.points[lab], ds.frames[0].points[lab])
+        for j in range(len(ds.labels)):
+            for pts in ds.points[1:]:
+                assert np.allclose(pts[j], ds.points[0][j])
 
     def test_orthographic_invariant_to_normal_translation(self):
         scene = random_triangle_scene(3)
@@ -52,9 +53,9 @@ class TestRender:
         )
         a = render(scene, script, Regime.ORTHOGRAPHIC)
         b = render(scene, shifted, Regime.ORTHOGRAPHIC)
-        for fa, fb in zip(a.frames, b.frames):
-            for lab in a.labels:
-                assert np.allclose(fa.points[lab], fb.points[lab], atol=1e-12)
+        for fa, fb in zip(a.points, b.points):
+            for j in range(len(a.labels)):
+                assert np.allclose(fa[j], fb[j], atol=1e-12)
 
     def test_truth_reprojects_to_observations(self):
         for regime in (Regime.ORTHOGRAPHIC, Regime.PERSPECTIVE_CALIBRATED):
@@ -66,9 +67,10 @@ class TestRender:
             script = random_motion_script(6, 3, regime, scene)
             ds = render(scene, script, regime)
             redone = rerender_truth(ds)
-            for f, g in zip(ds.frames, redone.frames):
-                for lab in ds.labels:
-                    assert np.allclose(f.points[lab], g.points[lab], atol=1e-12)
+            assert redone.labels == ds.labels
+            for f, g in zip(ds.points, redone.points):
+                for j in range(len(ds.labels)):
+                    assert np.allclose(f[j], g[j], atol=1e-12)
 
     def test_rigidity_of_truth_block(self):
         ds = make_dataset(7, Regime.PERSPECTIVE_CALIBRATED)
@@ -85,15 +87,29 @@ class TestRender:
                     d = np.linalg.norm(m.apply(t.points3d[a]) - m.apply(t.points3d[b]))
                     assert abs(d - base[(a, b)]) < 1e-12
 
-    def test_uncalibrated_epipoles_are_exact(self):
-        scene = random_cloud_scene(8, n_points=7, center=(0, 0, 0))
-        poses = random_camera_ring(9, 4)
-        ds = render(scene, MotionScript(poses=poses), Regime.PERSPECTIVE_UNCALIBRATED)
-        for i, f in enumerate(ds.frames):
-            assert set(f.epipoles) == {j + 1 for j in range(4) if j != i}
-            for j, e in f.epipoles.items():
-                expected = project(poses[j - 1].focal, poses[i])
-                assert np.allclose(e, expected, atol=1e-12)
+    def test_points_follow_sorted_labels(self):
+        # the scene lists its labels unsorted; rows of every frame follow the sorted tuple
+        xyz = {"c": vec3(0, 1, 3), "a": vec3(0, 0, 3), "b": vec3(1, 0, 3)}
+        scene = SceneSpec(xyz)
+        script = random_motion_script(10, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        assert ds.labels == ("a", "b", "c") and ds.points.shape == (2, 3, 2)
+        for i in range(2):
+            pose = truth_poses(ds, i)
+            for j, lab in enumerate(ds.labels):
+                assert np.allclose(ds.points[i, j], project(xyz[lab], pose), atol=1e-12)
+
+    def test_uncalibrated_regime_refused(self):
+        scene = random_cloud_scene(8, n_points=7)
+        script = random_motion_script(9, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
+        with pytest.raises(InputError, match="perspective_uncalibrated"):
+            render(scene, script, Regime.PERSPECTIVE_UNCALIBRATED)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        with pytest.raises(InputError, match="perspective_uncalibrated"):
+            MultiframeDataset(Regime.PERSPECTIVE_UNCALIBRATED, ds.labels, ds.points, ds.frames)
+        blob = write_dataset(ds).replace(b"perspective_calibrated", b"perspective_uncalibrated")
+        with pytest.raises(ParseError, match="regime"):
+            read_dataset(blob)
 
     def test_generation_error_names_frame_and_label(self):
         scene = SceneSpec({"a": vec3(0, 0, 2), "b": vec3(1, 0, 2), "c": vec3(0, 1, -5)})
@@ -146,11 +162,11 @@ class TestNoise:
         noise = NoiseSpec(1e-3, seed=8)
         noisy = add_noise(ds, noise)
         rng = np.random.default_rng(noise.seed)
-        for f, g in zip(ds.frames, noisy.frames):
-            assert list(g.points) == sorted(f.points)
-            for lab in sorted(f.points):
-                expected = f.points[lab] + rng.normal(scale=noise.sigma, size=2)
-                assert np.array_equal(g.points[lab], expected)
+        assert noisy.labels == ds.labels == tuple(sorted(ds.labels))
+        for f, g, fp, gp in zip(ds.frames, noisy.frames, ds.points, noisy.points):
+            for j in range(len(ds.labels)):
+                expected = fp[j] + rng.normal(scale=noise.sigma, size=2)
+                assert np.array_equal(gp[j], expected)
             for c, d in zip(f.curves, g.curves):
                 expected = c["samples"] + rng.normal(scale=noise.sigma, size=c["samples"].shape)
                 assert np.array_equal(d["samples"], expected)
@@ -163,9 +179,9 @@ class TestNoise:
         ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
         noisy = add_noise(ds, NoiseSpec(sigma, seed=6))
         deltas = []
-        for f, g in zip(ds.frames, noisy.frames):
-            for lab in ds.labels:
-                deltas.extend(g.points[lab] - f.points[lab])
+        for f, g in zip(ds.points, noisy.points):
+            for j in range(len(ds.labels)):
+                deltas.extend(g[j] - f[j])
         assert len(deltas) == 20000  # 1e4 perturbed points, two coordinates each
         assert abs(np.std(deltas) - sigma) < 0.05 * sigma
 
@@ -177,9 +193,10 @@ class TestSerialization:
             blob = write_dataset(ds)
             back = read_dataset(blob)
             assert back.regime == ds.regime
-            for f, g in zip(ds.frames, back.frames):
-                for lab in ds.labels:
-                    assert np.array_equal(f.points[lab], g.points[lab])
+            assert back.labels == ds.labels
+            for f, g in zip(ds.points, back.points):
+                for j in range(len(ds.labels)):
+                    assert np.array_equal(f[j], g[j])
             for lab in ds.truth.points3d:
                 assert np.array_equal(back.truth.points3d[lab], ds.truth.points3d[lab])
             for m, n in zip(ds.truth.motions, back.truth.motions):
@@ -187,20 +204,6 @@ class TestSerialization:
                 assert np.array_equal(m.translation, n.translation)
             # writing the parse result reproduces the bytes
             assert write_dataset(back) == blob
-
-    def test_uncalibrated_roundtrip(self):
-        scene = random_cloud_scene(23, n_points=7, center=(0, 0, 0))
-        ds = render(
-            scene,
-            MotionScript(poses=random_camera_ring(24, 4)),
-            Regime.PERSPECTIVE_UNCALIBRATED,
-        )
-        blob = write_dataset(ds)
-        back = read_dataset(blob)
-        assert write_dataset(back) == blob
-        for f, g in zip(ds.frames, back.frames):
-            for j in f.epipoles:
-                assert np.array_equal(f.epipoles[j], g.epipoles[j])
 
     def test_curve_roundtrip(self):
         scene = random_arc_scene(25, n_samples=20)
@@ -235,14 +238,15 @@ class TestSerialization:
         ds = read_dataset(blob)
         assert ds.regime is Regime.ORTHOGRAPHIC
         assert ds.n_frames == 1
-        assert np.array_equal(ds.frames[0].points["only"], [0.25, -1.5])
+        assert ds.labels == ("only",)
+        assert np.array_equal(ds.points[0][ds.labels.index("only")], [0.25, -1.5])
         assert ds.truth is None
 
     def test_seventeen_digit_numbers(self):
         ds = make_dataset(27)
         text = write_dataset(ds).decode()
         # a third of a unit cannot be written exactly in fewer digits
-        v = ds.frames[0].points[ds.labels[0]][0]
+        v = ds.points[0][0][0]
         assert format(float(v), ".17g") in text
 
 
@@ -277,7 +281,8 @@ class TestValidation:
         warnings = validate_general_position(ds)
         assert any("project together" in w for w in warnings)
 
-    def test_curve_along_epipolar_plane_flagged(self):
+    @staticmethod
+    def epipolar_run_dataset():
         # the second camera sits 1.5 along +x, so the baseline is the x axis
         # and the run of samples with constant (y, z) lies in one epipolar
         # plane; the hook leaves it
@@ -295,9 +300,20 @@ class TestValidation:
         script = MotionScript(
             motions=[RigidMotion.identity(), RigidMotion(Rotation.identity(), vec3(-1.5, 0, 0))]
         )
-        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
-        warnings = validate_general_position(ds)
+        return render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+
+    def test_curve_along_epipolar_plane_flagged(self):
+        warnings = validate_general_position(self.epipolar_run_dataset())
         assert "frame 2: curve 'run' near epipolar tangency at sample 0" in warnings
+
+    @pytest.mark.parametrize("ids", [(7, 8), (2, 1)])
+    def test_frames_matched_to_truth_by_position(self, ids):
+        # frame ids are free in a file: the i-th frame's truth is the i-th motion
+        doc = json.loads(write_dataset(self.epipolar_run_dataset()))
+        for frame, fid in zip(doc["frames"], ids):
+            frame["id"] = fid
+        warnings = validate_general_position(read_dataset(json.dumps(doc)))
+        assert warnings == [f"frame {ids[1]}: curve 'run' near epipolar tangency at sample 0"]
 
 
 class TestSpecValidation:
@@ -311,22 +327,17 @@ class TestSpecValidation:
             MotionScript(motions=[RigidMotion(rot, vec3(0, 0, 0))])
 
     def test_frames_share_labels(self):
+        # a frame without a row for the first label: the points no longer match the label set
         ds = make_dataset(33)
-        frames = list(ds.frames)
-        bad = dict(frames[1].points)
-        bad.pop(sorted(bad)[0])
-        from multiframe.scene import FrameObs
-
-        frames[1] = FrameObs(frames[1].id, bad, frames[1].curves, None)
         with pytest.raises(InputError, match="label set"):
-            MultiframeDataset(ds.regime, frames, ds.truth)
+            MultiframeDataset(ds.regime, ds.labels, ds.points[:, 1:], ds.frames, ds.truth)
+        with pytest.raises(InputError, match="label set"):
+            MultiframeDataset(ds.regime, ds.labels[1:], ds.points, ds.frames, ds.truth)
 
     def test_truth_poses_match_object_motion(self):
         # observing the moved object equals observing with the inverse-moved camera
         ds = make_dataset(34, Regime.PERSPECTIVE_CALIBRATED)
-        for i, f in enumerate(ds.frames):
+        for i, pts in enumerate(ds.points):
             pose = truth_poses(ds, i)
-            for lab in ds.labels:
-                assert np.allclose(
-                    project(ds.truth.points3d[lab], pose), f.points[lab], atol=1e-10
-                )
+            for j, lab in enumerate(ds.labels):
+                assert np.allclose(project(ds.truth.points3d[lab], pose), pts[j], atol=1e-10)
