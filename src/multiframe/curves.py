@@ -37,15 +37,30 @@ A sample is flagged, not lifted, when its line is degenerate, its match is
 tangent, or its two viewing rays are parallel.  The segment table of curve
 2 is built once per lift, and the matches are triangulated in one batch.
 
-Steps 1 and 2 run on a hit table: for a block of ``k`` lines against all
-``m`` segments, one numpy pass gives the ``(k, m)`` signed offsets, cross
-products, sines, parallel and hit masks, clamped weights and arc positions,
-and one sort orders every row's hits by arc position, ties by segment.  A
-block holds ``k = _TABLE_ENTRIES // m`` lines (at least one), so a table's
-memory stays bounded whatever the sizes of the two curves.  Only steps 3
-and 4 run in Python, once per sample over its few hits, because
-``prev_pos`` moves with every match; it is carried from each block into the
-next.  :func:`transfer_point` is the same code on a one-row block.
+Steps 1 and 2 run only on candidate pairs, with the table formulas, so
+the hits are those of the full table.  All lines of a lift belong to one
+pencil through the epipole, a point at infinity under orthography (Hartley
+& Zisserman, *Multiple View Geometry*, 9.1).  The two lines that differ
+most border the widest gap between the sorted directions.  If every line
+stays parallel to the first of them to within ``band`` across the data,
+lines are keyed by offset along its normal and a segment by its vertices'
+offsets, widened by ``r`` plus that drift; otherwise lines are keyed by
+angle in ``[0, pi)`` and a segment by the arc it spans seen from their
+join ``c``, widened by ``asin(r / rho) + 64 eps`` at each end (every line
+if ``rho <= r``).  ``rho`` bounds the distance of ``c`` from the segment
+from below: the larger of its distances from the segment's line and from
+the first vertex less the length.  ``r = band + delta + 16 eps (R + band
++ |c|)``, with ``delta`` the largest measured distance of a line from
+``c`` (0 for offsets, as is ``|c|``) and ``R`` a bound on the norm of a
+line point plus that of a segment point: a hit puts its line within
+``band + 8 eps (R + band)`` of the segment even when near-parallel (its
+weight rounds coarsely, its point does not leave the line), and a line
+within ``delta`` of ``c`` that passes within ``r`` of a point ``rho`` from
+``c`` turns at most ``asin(r / rho)`` from it.  ``searchsorted`` and
+``repeat`` expand the ``H`` candidates, two to three per line on smooth
+arcs: O((n + m) log n + H) time, O(n + m + H) memory.  Steps 3 and 4 run
+in Python, once per sample over its few hits, as ``prev_pos`` moves with
+every match.  :func:`transfer_point` is the same code on one line.
 """
 
 from __future__ import annotations
@@ -59,6 +74,8 @@ from .errors import DegenerateGeometry, InputError
 from .geometry import CameraPose, cross, projection_matrix, rays_through, triangulate_midpoints
 # kept in this namespace: perfbench traces curves.triangulate_midpoint
 from .geometry import triangulate_midpoint  # noqa: F401
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +205,57 @@ def _segments(curve: ImageCurve, band: float) -> _Segments:
     return _Segments(s[:-1], vec, length, arc, -band / length, 1.0 + band / length, band)
 
 
-# entries of one (k, m) hit table, 32 KB per float table: bounds a lift's
-# memory whatever the sizes of its curves
-_TABLE_ENTRIES = 4096
 # segment codes of a row without a match
 _MISSED = -1  # the line meets no segment
 _BEHIND = -2  # every hit precedes the previous match
+
+
+def _candidates(table: _Segments, points, directions) -> tuple[np.ndarray, np.ndarray]:
+    """Line and segment indices of every pair that can hit (see the module docstring)."""
+    n, m = len(points), len(table.length)
+    if n == 0:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    p0, p1, d0, d1 = points[:, 0], points[:, 1], directions[:, 0], directions[:, 1]
+    a, vec = table.start, table.vec
+    size = 2.0 * np.abs(points).max() + np.hypot(*a[0]) + table.arc[-1] + table.length[-1]
+    reach = table.band + 16 * _EPS * (size + table.band)
+    key = np.arctan2(d1, d0) % np.pi
+    key[key == np.pi] = 0.0
+    order = key.argsort()
+    key = key[order]
+    g = (np.concatenate((key[1:], [key[0] + np.pi])) - key).argmax()
+    i, j = order[g], order[(g + 1) % n]  # the lines that differ most
+    spread = (key[g] - key[(g + 1) % n]) % np.pi  # every direction lies within this after j's
+    drift = np.sin(min(spread, np.pi / 2)) * (size + reach)
+    if drift <= table.band:  # c at infinity: offsets along line j's normal
+        key = d1[j] * p0 - d0[j] * p1
+        order = key.argsort()
+        key = key[order]
+        ka, kb = (d1[j] * v[:, 0] - d0[j] * v[:, 1] for v in (a, a + vec))
+        first = key.searchsorted(np.minimum(ka, kb) - reach - drift)
+        stop = key.searchsorted(np.maximum(ka, kb) + reach + drift, "right")
+    else:  # direction angles seen from the finite pencil point c
+        (xi, yi), (ui, vi) = points[i].tolist(), directions[i].tolist()
+        (xj, yj), (uj, vj) = points[j].tolist(), directions[j].tolist()
+        t = ((xj - xi) * vj - (yj - yi) * uj) / (ui * vj - vi * uj)
+        cx, cy = xi + t * ui, yi + t * vi
+        reach += np.abs(d1 * (cx - p0) - d0 * (cy - p1)).max() + 16 * _EPS * (abs(cx) + abs(cy))
+        ax, ay = a[:, 0] - cx, a[:, 1] - cy
+        area = ax * vec[:, 1] - ay * vec[:, 0]  # segment length times the distance of c
+        sweep = np.arctan2(area, ax * (ax + vec[:, 0]) + ay * (ay + vec[:, 1]))
+        # no nearer to c than the segment's line, nor than the first vertex less the length
+        rho = np.maximum(np.abs(area) / table.length, np.hypot(ax, ay) - table.length)
+        half = np.arcsin(reach / np.maximum(rho, reach)) + 64 * _EPS
+        lo = (np.arctan2(ay, ax) + np.minimum(sweep, 0.0) - half) % np.pi
+        hi = lo + np.abs(sweep) + 2 * half  # an arc past pi goes on from 0
+        first = key.searchsorted(lo)
+        stop = key.searchsorted(hi, "right") + key.searchsorted(hi - np.pi, "right")
+        whole = hi - lo >= np.pi
+        first[whole], stop[whole] = 0, n
+    count = stop - first
+    seg = np.arange(m).repeat(count)
+    at = np.arange(len(seg)) + (first + count - count.cumsum())[seg]
+    return order[at % n], seg
 
 
 def _match(
@@ -203,58 +265,51 @@ def _match(
 
     Returns per row the matched segment (``_MISSED`` or ``_BEHIND`` without
     a match), the clamped segment weight, the arc position and the tangency
-    flag.  The sweep starts at ``prev_pos``; every matched row moves it on,
-    across block boundaries too.
+    flag.  The sweep starts at ``prev_pos``; every matched row moves it on.
     """
-    n = len(points)
-    band = table.band
-    segment = np.empty(n, dtype=int)
-    weight = np.zeros(n)
-    arc_pos = np.zeros(n)
-    tangent = np.zeros(n, dtype=bool)
-    prev = prev_pos
-    block = max(1, _TABLE_ENTRIES // len(table.length))
-    for b0 in range(0, n, block):
-        b1 = min(b0 + block, n)
-        p, d = points[b0:b1], directions[b0:b1]
-        nx, ny = d[:, 1:], -d[:, :1]  # (k, 1) line normals
-        # (k, m) tables.  Signed distance of each first vertex: differences
-        # first, as they are exact for nearby points
-        offset = (table.start[:, 0] - p[:, :1]) * nx + (table.start[:, 1] - p[:, 1:]) * ny
-        denom = table.vec[:, 0] * nx + table.vec[:, 1] * ny  # cross(segment, direction)
-        sin_angle = np.abs(denom) / table.length
-        parallel = sin_angle < tol.tangency
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = -offset / denom
-        crossing = (w >= table.lo) & (w <= table.hi) & ~parallel
-        # a parallel segment is a hit only when it rides on the line
-        hit = crossing | (parallel & (np.abs(offset) <= band))
-        clamped = np.where(parallel, 0.0, np.clip(w, 0.0, 1.0))
-        pos = table.arc + clamped * table.length
-        rows, cols = hit.nonzero()
-        hit_pos = pos[rows, cols]
-        # each row's hits by arc position, ties by segment
-        order = np.lexsort((cols, hit_pos, rows))
-        first = np.searchsorted(rows, np.arange(b1 - b0 + 1)).tolist()  # rows stay sorted
-        hit_pos = hit_pos[order].tolist()
-        hit_seg = cols[order].tolist()
-        for r in range(b1 - b0):
-            seg = _MISSED if first[r] == first[r + 1] else _BEHIND
-            kept = -np.inf
-            for h in range(first[r], first[r + 1]):
-                # hits within ``band`` of the last kept one are duplicates
-                if hit_pos[h] - kept <= band:
-                    continue
-                kept = hit_pos[h]
-                if kept >= prev - band:
-                    seg = hit_seg[h]
-                    arc_pos[b0 + r] = prev = kept
-                    break
-            segment[b0 + r] = seg
-        found = (segment[b0:b1] >= 0).nonzero()[0]
-        at = segment[b0 + found]
-        weight[b0 + found] = clamped[found, at]
-        tangent[b0 + found] = sin_angle[found, at] < 1e3 * tol.tangency
+    n, band = len(points), table.band
+    line, seg = _candidates(table, points, directions)
+    dx, dy, length = directions[:, 0][line], directions[:, 1][line], table.length[seg]
+    # signed distance of each first vertex: differences first, as they are
+    # exact for nearby points
+    offset = (table.start[:, 0][seg] - points[:, 0][line]) * dy - (
+        table.start[:, 1][seg] - points[:, 1][line]
+    ) * dx
+    denom = table.vec[:, 0][seg] * dy - table.vec[:, 1][seg] * dx  # cross(segment, direction)
+    sin_angle = np.abs(denom) / length
+    parallel = sin_angle < tol.tangency
+    # a parallel segment's weight is not used: it may be undefined or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = -offset / denom
+    crossing = (w >= table.lo[seg]) & (w <= table.hi[seg]) & ~parallel
+    # a parallel segment is a hit only when it rides on the line
+    hits = (crossing | (parallel & (np.abs(offset) <= band))).nonzero()[0]
+    clamped = np.clip(w, 0.0, 1.0)
+    clamped[parallel] = 0.0
+    pos = table.arc[seg] + clamped * length
+    # each line's hits by arc position, ties by segment: pairs come in segment
+    # order, and a segment's hits lie between the arc positions of its ends
+    hits = hits[line[hits].argsort(kind="stable")]
+    first = line[hits].searchsorted(np.arange(n + 1)).tolist()
+    hit_pos = pos[hits].tolist()
+    chosen, prev = [_MISSED] * n, prev_pos
+    for r, (h0, h1) in enumerate(zip(first, first[1:])):
+        chosen[r] = _MISSED if h0 == h1 else _BEHIND
+        kept = -np.inf
+        for h in range(h0, h1):
+            # hits within ``band`` of the last kept one are duplicates
+            if hit_pos[h] - kept <= band:
+                continue
+            kept = hit_pos[h]
+            if kept >= prev - band:
+                chosen[r], prev = h, kept
+                break
+    segment = np.array(chosen, dtype=int)
+    weight, arc_pos, tangent = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    found = segment >= 0
+    at = hits[segment[found]]
+    segment[found], weight[found], arc_pos[found] = seg[at], clamped[at], pos[at]
+    tangent[found] = sin_angle[at] < 1e3 * tol.tangency
     return segment, weight, arc_pos, tangent
 
 

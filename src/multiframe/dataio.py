@@ -7,8 +7,8 @@ of the documented schema.
 
 Top-level keys: ``regime`` (``orthographic`` or ``perspective_calibrated``),
 ``frames`` (each with ``id``, ``points`` and optional ``curves``), optional
-``truth`` (``points3d``, optional ``motions`` with row-major rotations,
-optional ``curves3d``) and optional ``noise`` metadata.  A frame's
+``truth`` (``points3d``, optional ``motions``, one per frame, with row-major
+rotations, optional ``curves3d``) and optional ``noise`` metadata.  A frame's
 ``points`` object maps each traced label to its image; every frame lists
 the same labels, in any key order, and the writer sorts them.
 
@@ -17,12 +17,14 @@ and parses each frame's ``points`` object straight into its row of the
 ``(k, n, 2)`` ``points`` array, in that order.  A frame whose labels differ
 from the first frame's raises ``frames[1].points: missing label 'b'`` (or
 names the label it adds).  A sample list (``frames[*].curves[*].samples``,
-``truth.curves3d[*].samples``) and the values of a labeled-point object
-(``frames[*].points``, ``truth.points3d``) are converted to one array and
+``truth.curves3d[*].samples``), the values of a labeled-point object
+(``frames[*].points``, ``truth.points3d``) and the rotations or
+translations of ``truth.motions`` are converted to one array and
 checked whole: ``dim``-vectors with finite entries.  Only a list or object
 that fails the check is walked row by row, in file order, to name the
 first bad row (``frames[0].curves[0].samples[3]: non-numeric entry``,
-``frames[0].points['a']: non-finite entry``).  Entries are parsed as
+``frames[0].points['a']: non-finite entry``, ``truth.motions[1].rotation:
+rotation matrix determinant is not +1``).  Entries are parsed as
 ``float()`` parses them, so numeric strings and booleans are accepted.
 Every malformed input, and a ``perspective_uncalibrated`` regime, which no
 solver reads, raises :class:`ParseError` naming its location.
@@ -35,7 +37,7 @@ import json
 import numpy as np
 
 from .dof import Regime
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .geometry import RigidMotion, Rotation
 from .scene import FrameObs, MultiframeDataset, NoiseSpec, TruthBlock
 
@@ -53,7 +55,9 @@ def _fmt_vec(xs) -> str:
 
 
 def _fmt_samples(samples) -> str:
-    return "[" + ", ".join(map(_fmt_vec, _floats(samples))) + "]"
+    rows = _floats(samples)
+    row = "[" + ", ".join(["%.17g"] * len(rows[0])) + "]" if rows else ""
+    return "[" + ", ".join([row % tuple(r) for r in rows]) + "]"
 
 
 def _fmt_labeled(labels, rows) -> str:
@@ -161,7 +165,7 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
         frames.append(FrameObs(_int(rf["id"], f"{where}.id"), curves))
     truth = None
     if "truth" in doc and doc["truth"] is not None:
-        truth = _parse_truth(doc["truth"])
+        truth = _parse_truth(doc["truth"], len(frames))
     noise = None
     if "noise" in doc and doc["noise"] is not None:
         n = _object(doc["noise"], "noise", "sigma")
@@ -235,13 +239,16 @@ def _finite_rows(rows: list, dim: int) -> np.ndarray | None:
     return None
 
 
-def _parse_rows(rows, dim: int, where: str) -> np.ndarray:
-    """A list of ``dim``-vectors as one ``(n, dim)`` array; ``[]`` gives shape ``(0,)``."""
+def _parse_rows(rows, dim: int, where: str, field: str = "") -> np.ndarray:
+    """A list of ``dim``-vectors as one ``(n, dim)`` array; ``[]`` gives shape ``(0,)``.
+
+    Row ``i`` is named ``{where}[i]{field}``.
+    """
     if not isinstance(rows, list):
         raise ParseError(f"{where}: expected a list of {dim}-vectors")
     arr = _finite_rows(rows, dim)
     if arr is None:
-        return np.array([_parse_vec(r, dim, f"{where}[{i}]") for i, r in enumerate(rows)])
+        return np.array([_parse_vec(r, dim, f"{where}[{i}]{field}") for i, r in enumerate(rows)])
     return arr
 
 
@@ -255,24 +262,14 @@ def _parse_labeled(obj: dict, labels, dim: int, where: str) -> np.ndarray:
     return arr.reshape(len(labels), dim)
 
 
-def _parse_truth(raw) -> TruthBlock:
+def _parse_truth(raw, n_frames: int) -> TruthBlock:
     if not isinstance(raw, dict) or "points3d" not in raw:
         raise ParseError("'truth' must be an object with 'points3d'")
     obj = _object(raw["points3d"], "truth.points3d")
     pts = dict(zip(obj, _parse_labeled(obj, list(obj), 3, "truth.points3d")))
     motions = None
     if raw.get("motions") is not None:
-        motions = []
-        for i, rm in enumerate(_list(raw["motions"], "truth.motions")):
-            where = f"truth.motions[{i}]"
-            _object(rm, where, "rotation", "translation")
-            mat = _parse_vec(rm["rotation"], 9, f"{where}.rotation")
-            motions.append(
-                RigidMotion(
-                    Rotation(mat.reshape(3, 3)),
-                    _parse_vec(rm["translation"], 3, f"{where}.translation"),
-                )
-            )
+        motions = _parse_motions(_list(raw["motions"], "truth.motions"), n_frames)
     curves3d = None
     if raw.get("curves3d"):
         curves3d = []
@@ -283,3 +280,24 @@ def _parse_truth(raw) -> TruthBlock:
                 {"id": rc["id"], "samples": _parse_rows(rc["samples"], 3, f"{where}.samples")}
             )
     return TruthBlock(pts, motions, curves3d)
+
+
+def _parse_motions(raw: list, n_frames: int) -> list[RigidMotion]:
+    """One motion per frame, with the rotations read as one ``(k, 9)`` array and the
+    translations as one ``(k, 3)`` array; a rotation that ``Rotation`` refuses is named."""
+    if len(raw) != n_frames:
+        raise ParseError(f"truth.motions: {len(raw)} motions for {n_frames} frames")
+    for i, rm in enumerate(raw):
+        _object(rm, f"truth.motions[{i}]", "rotation", "translation")
+    mats, trans = (
+        _parse_rows([rm[key] for rm in raw], dim, "truth.motions", f".{key}")
+        for key, dim in (("rotation", 9), ("translation", 3))
+    )
+    motions = []
+    for i, (mat, t) in enumerate(zip(mats.reshape(-1, 3, 3), trans)):
+        try:
+            rot = Rotation(mat)
+        except InputError as exc:
+            raise ParseError(f"truth.motions[{i}].rotation: {exc}") from None
+        motions.append(RigidMotion(rot, t))
+    return motions

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from multiframe.config import TOL
 from multiframe.curves import (
     ImageCurve,
     TransferGap,
+    _candidates,
+    _match,
+    _segments,
     curves_from_dataset,
     epipolar_line,
     epipolar_lines,
@@ -363,8 +369,8 @@ class TestLiftCurve:
             assert np.linalg.norm(o_by_idx[i] - p_by_idx[i]) < 1e-4 * diam
 
 
-class TestBlockBoundaries:
-    """The sweep position carries across the blocks of the batched hit table."""
+class TestSweepPosition:
+    """The sweep position carries from each sample to the next within one batched lift."""
 
     def wavy_views(self, n=100):
         # baseline along +x and both image planes parallel to it: transfer
@@ -383,11 +389,7 @@ class TestBlockBoundaries:
         return img1, img2, pose1, pose2
 
     def test_lift_equals_chain_of_one_row_transfers(self):
-        from multiframe.curves import _TABLE_ENTRIES
-
         img1, img2, pose1, pose2 = self.wavy_views()
-        block = _TABLE_ENTRIES // (len(img2.samples) - 1)  # lines per hit table
-        assert len(img1.samples) > 2 * block
         scale = max(np.max(np.abs(img1.samples)), np.max(np.abs(img2.samples)))
         kept, holes, flagged, points = [], [], [], []
         prev, depends_on_prev = 0.0, 0
@@ -402,7 +404,7 @@ class TestBlockBoundaries:
             except TransferGap:
                 holes.append(i)
                 continue
-            if i >= block and transfer_point(line, img2, 0.0, scale=scale).segment != hit.segment:
+            if transfer_point(line, img2, 0.0, scale=scale).segment != hit.segment:
                 depends_on_prev += 1
             prev = hit.arc_pos
             if hit.tangent:
@@ -415,10 +417,165 @@ class TestBlockBoundaries:
                 continue
             kept.append(i)
             points.append(p)
-        # later blocks see several crossings, and the carried position picks one
+        # later samples see several crossings, and the carried position picks one
         assert depends_on_prev > 10
         lifted = lift_curve(img1, img2, pose1, pose2)
         assert lifted.source_indices == kept
         assert lifted.holes == holes
         assert lifted.flagged == flagged
         assert np.max(np.abs(lifted.points - np.array(points))) < 1e-12
+
+
+def reference_match(table, points, directions, prev_pos, tol=TOL):
+    """The transfer rule on the full ``(n, m)`` hit table, one row after another.
+
+    Returns ``_match``'s four arrays and the table's hit mask.
+    """
+    band = table.band
+    nx, ny = directions[:, 1:], -directions[:, :1]
+    offset = (table.start[:, 0] - points[:, :1]) * nx + (table.start[:, 1] - points[:, 1:]) * ny
+    denom = table.vec[:, 0] * nx + table.vec[:, 1] * ny
+    sin_angle = np.abs(denom) / table.length
+    parallel = sin_angle < tol.tangency
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = -offset / denom
+    crossing = (w >= table.lo) & (w <= table.hi) & ~parallel
+    hit = crossing | (parallel & (np.abs(offset) <= band))
+    clamped = np.where(parallel, 0.0, np.clip(w, 0.0, 1.0))
+    pos = table.arc + clamped * table.length
+    n = len(points)
+    segment, weight, arc_pos, tangent = np.full(n, -1), np.zeros(n), np.zeros(n), np.zeros(n, bool)
+    prev = prev_pos
+    for r in range(n):
+        cols = np.flatnonzero(hit[r])
+        cols = cols[np.lexsort((cols, pos[r, cols]))]
+        segment[r] = -2 if len(cols) else -1
+        kept = -np.inf
+        for c in cols:
+            if pos[r, c] - kept <= band:
+                continue
+            kept = pos[r, c]
+            if kept >= prev - band:
+                segment[r], weight[r], arc_pos[r], prev = c, clamped[r, c], kept, kept
+                tangent[r] = sin_angle[r, c] < 1e3 * tol.tangency
+                break
+    return (segment, weight, arc_pos, tangent), hit
+
+
+@st.composite
+def polylines(draw):
+    m = draw(st.integers(1, 16))
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    samples = np.array(draw(st.lists(st.tuples(coords, coords), min_size=m + 1, max_size=m + 1)))
+    assume(np.all(np.linalg.norm(np.diff(samples, axis=0), axis=1) > 1e-3))
+    return ImageCurve(samples)
+
+
+@st.composite
+def pencils(draw, samples, band, kind, n):
+    """``n`` transfer lines through one point ``kind`` relative to the polyline.
+
+    A line aims at a point of the curve, at a vertex, or just inside or
+    outside ``band`` past a segment's end; unless the lines are parallel, it
+    may aim at a point anywhere instead.  It then moves sideways by up to
+    ``jitter``, as the lines of noisy poses would.
+    """
+
+    def floats(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    def choices(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+
+    k = np.array(draw(st.lists(st.integers(0, len(samples) - 2), min_size=n, max_size=n)))
+    vec = samples[k + 1] - samples[k]
+    t = np.where(choices([True, False]), floats(0.0, 1.0), choices([0.0, 1.0]))
+    past = choices([0.0, -0.99, 0.99, -1.01, 1.01]) * band / np.linalg.norm(vec, axis=1)
+    targets = samples[k] + (t + np.where(t < 0.5, -np.abs(past), np.abs(past)))[:, None] * vec
+    if kind == "infinity":  # orthographic: parallel lines
+        angle = draw(st.floats(0.0, np.pi))
+        d = np.tile([np.cos(angle), np.sin(angle)], (n, 1))
+    else:
+        if kind == "far":
+            angle = draw(st.floats(-np.pi, np.pi))
+            c = 10.0 ** draw(st.floats(0.7, 9.0)) * np.array([np.cos(angle), np.sin(angle)])
+        elif kind == "near":
+            offset = np.array([1.0, draw(st.floats(-1.0, 1.0))])
+            c = targets[0] + 10.0 ** draw(st.floats(-9.0, -3.0)) * offset
+        else:
+            c = samples[draw(st.integers(0, len(samples) - 1))]
+        anywhere = choices([True, False])
+        targets[anywhere] = c + np.stack([floats(-2.0, 2.0), floats(-2.0, 2.0)], axis=1)[anywhere]
+        v = targets - c
+        assume(np.all(np.linalg.norm(v, axis=1) > 1e-12))
+        d = v / np.linalg.norm(v, axis=1)[:, None]
+    jitter = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3])) * floats(-1.0, 1.0)
+    normal = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    return targets + floats(-3.0, 3.0)[:, None] * d + jitter[:, None] * normal, d
+
+
+KINDS = ["far", "near", "vertex", "infinity"]
+
+
+class TestCandidateStage:
+    """``_match`` evaluates only the pencil's candidate pairs, with the full table's results."""
+
+    def check(self, curve, points, directions, band, prev):
+        table = _segments(curve, band)
+        want, hit = reference_match(table, points, directions, prev)
+        line, seg = _candidates(table, points, directions)
+        pairs = set(zip(line.tolist(), seg.tolist()))
+        assert len(pairs) == len(line)
+        assert set(zip(*(a.tolist() for a in hit.nonzero()))) <= pairs
+        got = _match(table, points, directions, prev, TOL)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=100)
+    @given(
+        data=st.data(),
+        curve=polylines(),
+        kind=st.sampled_from(KINDS),
+        n=st.integers(1, 16),
+        band=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    def test_matches_full_table(self, data, curve, kind, n, band):
+        points, directions = data.draw(pencils(curve.samples, band, kind, n))
+        prev = data.draw(st.floats(0.0, float(curve.arc_positions[-1])))
+        self.check(curve, points, directions, band, prev)
+
+    @settings(max_examples=50)
+    @given(data=st.data(), curve=polylines(), kind=st.sampled_from(KINDS))
+    def test_one_line_matches_full_table(self, data, curve, kind):
+        points, directions = data.draw(pencils(curve.samples, 1e-6, kind, 1))
+        self.check(curve, points, directions, 1e-6, 0.0)
+
+    def test_no_lines(self):
+        table = _segments(ImageCurve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1e-6)
+        got = _match(table, np.empty((0, 2)), np.empty((0, 2)), 0.0, TOL)
+        assert [a.dtype.kind for a in got] == ["i", "f", "f", "b"]
+        assert all(a.shape == (0,) for a in got)
+
+    def test_near_parallel_lines_keep_band_edge_hits(self):
+        # lines from a point 1e5 away are compared by their offsets along one
+        # normal, each taken at its given point, 3 away from the curve along
+        # the line; the margin covers how far that offset drifts from the
+        # offset where the line passes the curve
+        band = 1e-3
+        curve = ImageCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+        targets = np.array([[1.0 + 0.99 * band, 0.0], [-0.99 * band, 0.0], [0.5, 0.0]])
+        d = targets - [0.3, 1e5]
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        for along in (-3.0, 3.0):
+            self.check(curve, targets + along * d, d, band, 0.0)
+
+    def test_candidates_grow_linearly(self):
+        ds, _ = arc_dataset(3, n_samples=1000)
+        c1, c2 = curves_from_dataset(ds)["arc"]
+        scale = max(np.max(np.abs(c1.samples)), np.max(np.abs(c2.samples)))
+        points, directions, degenerate = epipolar_lines(
+            c1.samples, truth_poses(ds, 0), truth_poses(ds, 1)
+        )
+        table = _segments(c2, TOL.transfer_band * scale)
+        line, _ = _candidates(table, points[~degenerate], directions[~degenerate])
+        assert len(line) <= 4 * len(c1.samples)

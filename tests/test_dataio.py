@@ -218,6 +218,14 @@ class TestSampleAcceptance:
         assert samples.tolist() == BASE["frames"][0]["curves"][0]["samples"]
 
 
+def two_motions(rotation):
+    """``BASE`` with a second frame, whose truth motion has ``rotation``."""
+    doc = copy.deepcopy(BASE)
+    doc["frames"].append({**doc["frames"][0], "id": 1})
+    doc["truth"]["motions"].append({"rotation": rotation, "translation": [0.5, 0, 0]})
+    return doc
+
+
 class TestMalformedInput:
     """Malformed input raises ParseError naming its location, never another exception."""
 
@@ -240,6 +248,24 @@ class TestMalformedInput:
     def test_motion_without_rotation(self):
         doc = edited(("truth", "motions", 0, "rotation"), DELETE)
         assert parse_error(doc) == "truth.motions[0]: missing 'rotation'"
+
+    def test_motion_count_must_match_frames(self):
+        doc = two_motions([1, 0, 0, 0, 1, 0, 0, 0, 1])
+        assert len(read_dataset(dumps(doc)).truth.motions) == 2
+        del doc["truth"]["motions"][1]
+        assert parse_error(doc) == "truth.motions: 1 motions for 2 frames"
+        doc["truth"]["motions"] *= 3
+        assert parse_error(doc) == "truth.motions: 3 motions for 2 frames"
+
+    @pytest.mark.parametrize(
+        "rotation, message",
+        [
+            ([1, 0, 0, 0, 1, 0, 0, 0, 1 + 1e-6], "rotation matrix columns are not orthonormal"),
+            ([1, 0, 0, 0, 1, 0, 0, 0, -1], "rotation matrix determinant is not +1"),
+        ],
+    )
+    def test_bad_rotation_named(self, rotation, message):
+        assert parse_error(two_motions(rotation)) == f"truth.motions[1].rotation: {message}"
 
     def test_truth_curve_without_samples(self):
         doc = edited(("truth", "curves3d", 0, "samples"), DELETE)
