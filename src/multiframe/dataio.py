@@ -1,9 +1,9 @@
 """Dataset (de)serialization: one UTF-8 JSON document per dataset.
 
 Numbers are written as decimals with 17 significant digits, which
-round-trips IEEE doubles exactly; key order is fixed, so identical
-datasets serialize to identical bytes.  Reading accepts any JSON layout
-of the documented schema.
+round-trips IEEE doubles exactly, ``-0.0`` included; key order is fixed,
+so identical datasets serialize to identical bytes.  Reading accepts any
+JSON layout of the documented schema.
 
 Top-level keys: ``regime`` (``orthographic`` or ``perspective_calibrated``),
 ``frames`` (each with ``id``, ``points`` and optional ``curves``), optional
@@ -27,7 +27,17 @@ first bad row (``frames[0].curves[0].samples[3]: non-numeric entry``,
 rotation matrix determinant is not +1``).  Entries are parsed as
 ``float()`` parses them, so numeric strings and booleans are accepted.
 Every malformed input, and a ``perspective_uncalibrated`` regime, which no
-solver reads, raises :class:`ParseError` naming its location.
+solver reads, raises :class:`ParseError` naming its location.  A frame
+``id`` or noise ``seed`` must be integral: ``2.0`` and ``"2"`` read as 2.
+
+The document is decoded by ``orjson``, bytes as given.  Only a document it
+refuses is decoded again by the stdlib ``json``, which accepts the ``NaN``
+and ``Infinity`` literals, literals beyond the double range and lone
+surrogates, so that such an entry reaches the located checks (``non-finite
+entry``), and which names the line and column of invalid JSON or the byte
+of invalid UTF-8.  orjson reads an integer literal beyond 64 bits as the
+nearest double: entries become doubles anyway, but a frame ``id`` or noise
+``seed`` that large reads rounded.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import orjson
 
 from .dof import Regime
 from .errors import InputError, ParseError
@@ -50,14 +61,20 @@ def _floats(a) -> list:
     return a.tolist()
 
 
-def _fmt_vec(xs) -> str:
-    return "[" + ", ".join(format(x, ".17g") for x in xs) + "]"
+def _signed_zeros(text: str, has_zero: bool) -> str:
+    """``%.17g`` list text with ``-0`` (JSON's integer 0) written ``-0.0``, if it has a zero."""
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]") if has_zero else text
+
+
+def _fmt_vec(xs: list) -> str:
+    return _signed_zeros("[" + ", ".join(format(x, ".17g") for x in xs) + "]", 0.0 in xs)
 
 
 def _fmt_samples(samples) -> str:
     rows = _floats(samples)
     row = "[" + ", ".join(["%.17g"] * len(rows[0])) + "]" if rows else ""
-    return "[" + ", ".join([row % tuple(r) for r in rows]) + "]"
+    text = "[" + ", ".join([row % tuple(r) for r in rows]) + "]"
+    return _signed_zeros(text, not np.all(samples))
 
 
 def _fmt_labeled(labels, rows) -> str:
@@ -123,12 +140,15 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
 
 def read_dataset(data: bytes | str) -> MultiframeDataset:
     """Parse a serialized dataset; malformed input raises :class:`ParseError`."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:  # the stdlib path: see the module docstring
+        try:
+            doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     try:
@@ -199,6 +219,8 @@ def _list(v, where: str) -> list:
 
 def _int(x, where: str) -> int:
     try:
+        if isinstance(x, float) and not x.is_integer():
+            raise ValueError
         return int(x)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{where}: expected an integer") from None

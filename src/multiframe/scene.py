@@ -134,6 +134,9 @@ class MultiframeDataset:
                 f"points of shape {points.shape} do not hold one (u, v) row per frame "
                 f"and label: {len(self.frames)} frames share a label set of {len(labels)}"
             )
+        motions = self.truth.motions if self.truth is not None else None
+        if motions is not None and len(motions) != len(self.frames):
+            raise InputError(f"truth holds {len(motions)} motions for {len(self.frames)} frames")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "points", points)
 

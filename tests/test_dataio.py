@@ -1,21 +1,29 @@
 import copy
 import json
+import sys
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from multiframe import dataio
 from multiframe.dataio import _parse_vec, read_dataset, write_dataset
 from multiframe.dof import Regime
 from multiframe.errors import ParseError
 from multiframe.persp2f import two_frame_reconstruct
 from multiframe.scene import (
+    FrameObs,
+    MultiframeDataset,
     NoiseSpec,
     add_noise,
     random_arc_scene,
     random_cloud_scene,
     random_motion_script,
+    random_triangle_scene,
     render,
 )
 
@@ -75,10 +83,14 @@ SAMPLE = ("frames", 0, "curves", 0, "samples")
 SAMPLE3 = ("truth", "curves3d", 0, "samples")
 
 
-def parse_error(doc, literal=None) -> str:
+def parse_error_of(blob) -> str:
     with pytest.raises(ParseError) as info:
-        read_dataset(dumps(doc, literal))
+        read_dataset(blob)
     return str(info.value)
+
+
+def parse_error(doc, literal=None) -> str:
+    return parse_error_of(dumps(doc, literal))
 
 
 class TestSampleErrors:
@@ -237,9 +249,37 @@ class TestMalformedInput:
         doc = edited(("frames", 0, "points"), [1, 2])
         assert parse_error(doc) == "frames[0].points: expected an object"
 
-    def test_frame_id_not_an_integer(self):
-        doc = edited(("frames", 0, "id"), "x")
+    @pytest.mark.parametrize("value", ["x", 1.5, -0.5, 2.9])
+    def test_frame_id_not_an_integer(self, value):
+        doc = edited(("frames", 0, "id"), value)
         assert parse_error(doc) == "frames[0].id: expected an integer"
+
+    def test_noise_seed_not_an_integer(self):
+        doc = edited(("noise", "seed"), 2.9)
+        assert parse_error(doc) == "noise.seed: expected an integer"
+
+    @pytest.mark.parametrize("value, want", [(2.0, 2), ("3", 3), (True, 1), (-0.0, 0)])
+    def test_integral_ids_and_seeds_accepted(self, value, want):
+        doc = edited(("frames", 0, "id"), value)
+        doc["noise"]["seed"] = value
+        ds = read_dataset(dumps(doc))
+        assert ds.frames[0].id == ds.noise.seed == want
+        assert type(ds.frames[0].id) is type(ds.noise.seed) is int
+
+    @pytest.mark.parametrize(
+        "blob, reason",
+        [
+            (b"\xff", "invalid start byte"),
+            # labels holding a Latin-1 byte
+            (dumps(BASE).replace(b'"a"', b'"\xe9"'), "invalid continuation byte"),
+            # the document cut inside a two-byte character
+            (dumps(BASE)[:-1] + b"\xc3", "unexpected end of data"),
+        ],
+        ids=["start-byte", "label", "truncated"],
+    )
+    def test_invalid_utf8(self, blob, reason):
+        offset = next(i for i, byte in enumerate(blob) if byte >= 0x80)
+        assert parse_error_of(blob) == f"invalid UTF-8 at byte {offset}: {reason}"
 
     def test_noise_without_sigma(self):
         doc = edited(("noise",), {"seed": 1})
@@ -372,3 +412,68 @@ class TestProperties:
         assert ds.points.shape == (1, len(points), 2)
         assert same_points(dict(zip(ds.labels, ds.points[0])), {k: want[k] for k in sorted(want)})
         assert same_points(ds.truth.points3d, per_label(points3d, 3))
+
+
+def stdlib_parser_refused():
+    """Within it the stdlib ``json.loads`` raises, so a read must decode with orjson."""
+    return mock.patch.object(dataio.json, "loads", side_effect=AssertionError("stdlib path"))
+
+
+def noisy_blob(scene, regime, frames):
+    script = random_motion_script(7, frames, regime, scene)
+    return write_dataset(add_noise(render(scene, script, regime), NoiseSpec(1e-5, 8)))
+
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
+EDGE_DOUBLES = [0.0, -0.0, TINY, -TINY, 2.2250738585072014e-308, MAX, -MAX, 0.1, 1 / 3]
+
+
+class TestDecodePaths:
+    """orjson decodes what the writer writes; the stdlib parser reads what orjson refuses."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            noisy_blob(random_arc_scene(5, n_samples=50), Regime.PERSPECTIVE_CALIBRATED, 2),
+            noisy_blob(random_triangle_scene(6), Regime.ORTHOGRAPHIC, 3),
+        ],
+        ids=["arc", "triangle"],
+    )
+    def test_writer_output_never_reaches_stdlib_parser(self, blob):
+        with stdlib_parser_refused():
+            ds = read_dataset(blob)
+        assert write_dataset(ds) == blob
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", HUGE_FLOAT, HUGE_INT],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"],
+    )
+    def test_refused_literal_reaches_located_check(self, literal):
+        blob = dumps(edited((*SAMPLE, 2, 0), "@LITERAL@"), literal)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(blob)
+        assert parse_error_of(blob) == "frames[0].curves[0].samples[2]: non-finite entry"
+
+    def test_lone_surrogate_label_is_read(self):
+        blob = dumps(edited(("frames", 0, "points"), {"\ud800": [0.5, 0.25]}))
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(blob)
+        ds = read_dataset(blob)
+        assert ds.labels == ("\ud800",) and ds.points.tolist() == [[[0.5, 0.25]]]
+
+    @settings(max_examples=60)
+    @given(
+        samples=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 20), st.just(2)),
+            elements=st.one_of(st.sampled_from(EDGE_DOUBLES), finite),
+        )
+    )
+    def test_finite_samples_round_trip_bit_for_bit(self, samples):
+        frame = FrameObs(0, [{"id": "c", "samples": samples}])
+        ds = MultiframeDataset(Regime.ORTHOGRAPHIC, ("a",), np.zeros((1, 1, 2)), [frame])
+        with stdlib_parser_refused():
+            back = read_dataset(write_dataset(ds))
+        assert same_bits(back.frames[0].curves[0]["samples"], samples)

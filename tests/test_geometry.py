@@ -452,7 +452,9 @@ class TestBestFitMotions:
             assert abs(resid - ref_resid) < 1e-12
 
         row = data.draw(st.integers(0, k - 1))
-        dst[row] = dst[row, 0] + np.arange(n)[:, None] * (src[1] - src[0])
+        # a unit-scale step: a step near rounding size (src[1] close to src[0]) would
+        # leave the rounded points off their line, which both fits then accept
+        dst[row] = dst[row, 0] + np.arange(n)[:, None] * np.array([1.0, -0.5, 0.25])
         assert reference_fit(src, dst[row]) is None
         with pytest.raises(InputError):
             best_fit_motions(src, dst)

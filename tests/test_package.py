@@ -1,6 +1,9 @@
-"""The package's declared surface: exported names and console scripts."""
+"""The package's declared surface: exported names, console scripts and dependencies."""
 
+import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import multiframe
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SOURCE = PYPROJECT.parent / "src" / "multiframe"
 
 
 @pytest.mark.parametrize("name", multiframe.__all__)
@@ -25,3 +29,21 @@ def test_console_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"console script {script!r} points at {target!r}"
+
+
+def test_third_party_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", req).group().lower() for req in requirements}
+    imported = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"multiframe"}
+    assert "numpy" in third_party, "no third-party import found: is SOURCE right?"
+    undeclared = third_party - declared
+    assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"

@@ -13,6 +13,7 @@ from multiframe.scene import (
     MultiframeDataset,
     NoiseSpec,
     SceneSpec,
+    TruthBlock,
     add_noise,
     random_arc_scene,
     random_cloud_scene,
@@ -333,6 +334,15 @@ class TestSpecValidation:
             MultiframeDataset(ds.regime, ds.labels, ds.points[:, 1:], ds.frames, ds.truth)
         with pytest.raises(InputError, match="label set"):
             MultiframeDataset(ds.regime, ds.labels[1:], ds.points, ds.frames, ds.truth)
+
+    def test_motion_count_must_match_frames(self):
+        ds = make_dataset(35)
+        t = ds.truth
+        for motions in (t.motions[:1], t.motions * 2):
+            truth = TruthBlock(t.points3d, motions, t.curves3d)
+            with pytest.raises(InputError) as info:
+                MultiframeDataset(ds.regime, ds.labels, ds.points, ds.frames, truth)
+            assert str(info.value) == f"truth holds {len(motions)} motions for 3 frames"
 
     def test_truth_poses_match_object_motion(self):
         # observing the moved object equals observing with the inverse-moved camera
