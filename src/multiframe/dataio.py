@@ -37,7 +37,10 @@ surrogates, so that such an entry reaches the located checks (``non-finite
 entry``), and which names the line and column of invalid JSON or the byte
 of invalid UTF-8.  orjson reads an integer literal beyond 64 bits as the
 nearest double: entries become doubles anyway, but a frame ``id`` or noise
-``seed`` that large reads rounded.
+``seed`` that large reads rounded.  orjson 3.8 recurses without a bound, and
+deep enough nesting crashes the interpreter, so a document with more than
+``_MAX_DEPTH`` (1,024) ``[`` and ``{`` is first measured, skipping strings,
+and one nested deeper is refused before either parser sees it.
 """
 
 from __future__ import annotations
@@ -138,8 +141,34 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+_MAX_DEPTH = 1024  # far above the schema's 5 levels, far below where orjson 3.8 crashes
+
+
+def _too_deep(text: np.ndarray) -> int | None:
+    """The offset of the first bracket nested deeper than ``_MAX_DEPTH`` in the JSON
+    bytes ``text``, or None; brackets inside strings do not count."""
+    folded = text | 32  # "[" -> "{" and "]" -> "}"
+    if np.count_nonzero(folded == ord("{")) <= _MAX_DEPTH:  # the depth is at most this count
+        return None
+    quotes = np.flatnonzero(text == ord('"'))
+    slash = np.flatnonzero(text == ord("\\"))
+    if slash.size:  # a quote after an odd run of backslashes is escaped
+        first = np.maximum.accumulate(np.where(np.diff(slash, prepend=-2) != 1, slash, 0))
+        j = np.searchsorted(slash, quotes) - 1  # the run of backslashes each quote ends
+        run = np.where((j >= 0) & (slash[j] == quotes - 1), quotes - first[j], 0)
+        quotes = quotes[run % 2 == 0]
+    at = np.flatnonzero((folded == ord("{")) | (folded == ord("}")))
+    at = at[np.searchsorted(quotes, at) % 2 == 0]  # outside strings
+    deeper = np.cumsum(np.where(folded[at] == ord("{"), 1, -1)) > _MAX_DEPTH
+    return int(at[deeper.argmax()]) if deeper.any() else None
+
+
 def read_dataset(data: bytes | str) -> MultiframeDataset:
     """Parse a serialized dataset; malformed input raises :class:`ParseError`."""
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    at = _too_deep(np.frombuffer(raw, np.uint8))
+    if at is not None:
+        raise ParseError(f"invalid JSON at byte {at}: nested deeper than {_MAX_DEPTH}")
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError:  # the stdlib path: see the module docstring
@@ -149,6 +178,8 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
             raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except RecursionError:
+            raise ParseError("invalid JSON: nested beyond the recursion limit") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     try:

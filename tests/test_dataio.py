@@ -1,6 +1,9 @@
 import copy
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -477,3 +480,77 @@ class TestDecodePaths:
         with stdlib_parser_refused():
             back = read_dataset(write_dataset(ds))
         assert same_bits(back.frames[0].curves[0]["samples"], samples)
+
+
+def orjson_refused():
+    """Within it ``orjson.loads`` raises, so a read that reaches either parser fails."""
+    return mock.patch.object(dataio.orjson, "loads", side_effect=AssertionError("orjson"))
+
+
+def with_extra(literal: str) -> bytes:
+    """``BASE`` with one more top-level key, ``extra``, holding the JSON text ``literal``."""
+    return dumps(edited(("extra",), "@LITERAL@"), literal)
+
+
+class TestNesting:
+    """A document nested deeper than ``_MAX_DEPTH`` is refused before either parser runs."""
+
+    def test_depth_at_bound_is_decoded(self):
+        depth = dataio._MAX_DEPTH - 1  # under the top-level object
+        with stdlib_parser_refused():
+            ds = read_dataset(with_extra("[" * depth + "]" * depth))
+        assert ds.labels == ("a",)
+
+    @pytest.mark.parametrize("as_text", [False, True], ids=["bytes", "str"])
+    def test_depth_over_bound_is_refused(self, as_text):
+        depth = dataio._MAX_DEPTH
+        blob = with_extra("[" * depth + "]" * depth)
+        deepest = blob.index(b"[" * depth) + depth - 1
+        with orjson_refused(), stdlib_parser_refused():
+            message = parse_error_of(blob.decode() if as_text else blob)
+        assert message == f"invalid JSON at byte {deepest}: nested deeper than {depth}"
+
+    def test_brackets_in_strings_do_not_count(self):
+        many = dataio._MAX_DEPTH + 1
+        blob = with_extra(json.dumps(["[" * many, "{" * many, '\\"[' * many]))
+        with stdlib_parser_refused():
+            assert read_dataset(blob).labels == ("a",)
+
+    @pytest.mark.parametrize(
+        "level",
+        ['["]]", ', '["]\\"]", ', '["\\\\", ', '["]\\\\\\"]", ', '{"}": '],
+        ids=["closing", "escaped-quote", "escaped-backslash", "three-backslashes", "object-key"],
+    )
+    def test_closing_brackets_in_strings_do_not_hide_depth(self, level):
+        depth = dataio._MAX_DEPTH
+        closing = "]" if level.startswith("[") else "}"
+        with orjson_refused(), stdlib_parser_refused():
+            message = parse_error_of(with_extra(level * depth + "1" + closing * depth))
+        assert message.endswith(f"nested deeper than {depth}")
+
+    def test_stdlib_recursion_limit_is_a_parse_error(self):
+        # orjson refuses the NaN; how deep the stdlib parser may recurse depends
+        # on the interpreter, so its RecursionError is raised by hand
+        blob = dumps(edited((*SAMPLE, 2, 0), "@LITERAL@"), "NaN")
+        with mock.patch.object(dataio.json, "loads", side_effect=RecursionError):
+            message = parse_error_of(blob)
+        assert message == "invalid JSON: nested beyond the recursion limit"
+
+    def test_orjson_crash_depth_is_refused(self):
+        # 200,000 nested objects crash orjson 3.8.3 on an 8 MB stack, so the read
+        # runs in its own interpreter
+        code = (
+            "from multiframe.dataio import read_dataset\n"
+            "from multiframe.errors import ParseError\n"
+            "try:\n"
+            "    read_dataset(b'{\"a\":' * 200000 + b'1' + b'}' * 200000)\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(dataio.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "invalid JSON at byte 5120: nested deeper than 1024\n"

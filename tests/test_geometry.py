@@ -452,9 +452,11 @@ class TestBestFitMotions:
             assert abs(resid - ref_resid) < 1e-12
 
         row = data.draw(st.integers(0, k - 1))
-        # a unit-scale step: a step near rounding size (src[1] close to src[0]) would
-        # leave the rounded points off their line, which both fits then accept
-        dst[row] = dst[row, 0] + np.arange(n)[:, None] * np.array([1.0, -0.5, 0.25])
+        # a step near rounding size would leave the rounded points off their line,
+        # which both fits then accept
+        step = data.draw(arrays(np.float64, 3, elements=unit_box))
+        assume(np.linalg.norm(step) > 0.1)
+        dst[row] = dst[row, 0] + np.arange(n)[:, None] * step
         assert reference_fit(src, dst[row]) is None
         with pytest.raises(InputError):
             best_fit_motions(src, dst)
