@@ -1,6 +1,5 @@
 """Recovery of rigid 3-D structure and motion from multi-frame 2-D projections."""
 
-from .config import Tolerances
 from .dof import (
     DofVerdict,
     FeatureCount,
@@ -37,7 +36,6 @@ __all__ = [
     "Regime",
     "RigidMotion",
     "Rotation",
-    "Tolerances",
     "best_fit_motion",
     "best_fit_rotation",
     "dof_orthographic",

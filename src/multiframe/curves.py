@@ -16,8 +16,8 @@ to infinity, keep full precision.  Under orthographic projection the
 focal points sit at infinity and all transfer lines are parallel.
 
 The transfer rule, for one line against the polyline of curve 2 (``band``
-is ``Tolerances.transfer_band`` times the image scale, ``tangency`` is
-``Tolerances.tangency``):
+is :data:`TRANSFER_BAND` times the image scale, ``tangency`` is
+:data:`TANGENCY`):
 
 1. A segment whose sine of angle to the line is below ``tangency`` is a
    hit only when its first vertex lies within ``band`` of the line; the hit
@@ -69,13 +69,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, Tolerances
 from .errors import DegenerateGeometry, InputError
-from .geometry import CameraPose, cross, projection_matrix, rays_through, triangulate_midpoints
-# kept in this namespace: perfbench traces curves.triangulate_midpoint
-from .geometry import triangulate_midpoint  # noqa: F401
+from .geometry import RAY_PARALLEL, CameraPose, cross, projection_matrix, rays_through
+# triangulate_midpoint is kept in this namespace: perfbench traces it here
+from .geometry import triangulate_midpoint, triangulate_midpoints  # noqa: F401
 
 _EPS = np.finfo(float).eps
+
+TRANSFER_BAND = 1e-6  # noise gate, times the image scale (largest |coordinate| of a curve)
+TANGENCY = 1e-9  # sine of the angle between a transfer line and a segment
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +138,7 @@ class SpaceCurve:
 
 
 def epipolar_lines(
-    samples, pose1: CameraPose, pose2: CameraPose, *, tol: Tolerances = TOL
+    samples, pose1: CameraPose, pose2: CameraPose
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Images in frame 2 of the viewing rays of ``(n, 2)`` samples of frame 1.
 
@@ -156,12 +158,12 @@ def epipolar_lines(
     lines = cross(a, b)
     normal = np.hypot(lines[:, 0], lines[:, 1])
     if pose2.is_orthographic:
-        degenerate = np.hypot(b[:, 0], b[:, 1]) < tol.ray_parallel
+        degenerate = np.hypot(b[:, 0], b[:, 1]) < RAY_PARALLEL
     else:
         w = pose2.focal - origins
         wd = np.einsum("ij,ij->i", w, dirs)
         off = np.linalg.norm(w - wd[:, None] * dirs, axis=1)
-        on_ray = off < tol.ray_parallel * np.maximum(1.0, np.linalg.norm(w, axis=1))
+        on_ray = off < RAY_PARALLEL * np.maximum(1.0, np.linalg.norm(w, axis=1))
         # the last projector row gives depths: a[:, 2] of the origin, b[:, 2] along the ray
         behind = (np.abs(b[:, 2]) < 1e-14) & (a[:, 2] <= 0)
         degenerate = on_ray | behind
@@ -173,9 +175,9 @@ def epipolar_lines(
     return points, directions, degenerate
 
 
-def epipolar_line(d1, pose1: CameraPose, pose2: CameraPose, *, tol: Tolerances = TOL) -> Line2D:
+def epipolar_line(d1, pose1: CameraPose, pose2: CameraPose) -> Line2D:
     """Image in frame 2 of the viewing ray of ``d1`` in frame 1 (see :func:`epipolar_lines`)."""
-    points, directions, degenerate = epipolar_lines(d1, pose1, pose2, tol=tol)
+    points, directions, degenerate = epipolar_lines(d1, pose1, pose2)
     if degenerate[0]:
         raise DegenerateGeometry(
             "viewing ray has no transfer line: it meets the second focal point"
@@ -259,7 +261,7 @@ def _candidates(table: _Segments, points, directions) -> tuple[np.ndarray, np.nd
 
 
 def _match(
-    table: _Segments, points, directions, prev_pos: float, tol: Tolerances
+    table: _Segments, points, directions, prev_pos: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Monotone matches of ``(n, 2)`` transfer lines on the polyline.
 
@@ -277,7 +279,7 @@ def _match(
     ) * dx
     denom = table.vec[:, 0][seg] * dy - table.vec[:, 1][seg] * dx  # cross(segment, direction)
     sin_angle = np.abs(denom) / length
-    parallel = sin_angle < tol.tangency
+    parallel = sin_angle < TANGENCY
     # a parallel segment's weight is not used: it may be undefined or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = -offset / denom
@@ -309,26 +311,21 @@ def _match(
     found = segment >= 0
     at = hits[segment[found]]
     segment[found], weight[found], arc_pos[found] = seg[at], clamped[at], pos[at]
-    tangent[found] = sin_angle[at] < 1e3 * tol.tangency
+    tangent[found] = sin_angle[at] < 1e3 * TANGENCY
     return segment, weight, arc_pos, tangent
 
 
 def transfer_point(
-    line: Line2D,
-    curve2: ImageCurve,
-    prev_pos: float,
-    *,
-    scale: float,
-    tol: Tolerances = TOL,
+    line: Line2D, curve2: ImageCurve, prev_pos: float, *, scale: float
 ) -> TransferHit:
     """Intersect the transfer line with the polyline, monotone in arc length.
 
     See the module docstring for the rule.  No admissible intersection
     raises :class:`TransferGap`.
     """
-    table = _segments(curve2, tol.transfer_band * scale)
+    table = _segments(curve2, TRANSFER_BAND * scale)
     segment, weight, arc_pos, tangent = _match(
-        table, np.reshape(line.point, (1, 2)), np.reshape(line.direction, (1, 2)), prev_pos, tol
+        table, np.reshape(line.point, (1, 2)), np.reshape(line.direction, (1, 2)), prev_pos
     )
     j = int(segment[0])
     if j == _MISSED:
@@ -341,12 +338,7 @@ def transfer_point(
 
 
 def lift_curve(
-    curve1: ImageCurve,
-    curve2: ImageCurve,
-    pose1: CameraPose,
-    pose2: CameraPose,
-    *,
-    tol: Tolerances = TOL,
+    curve1: ImageCurve, curve2: ImageCurve, pose1: CameraPose, pose2: CameraPose
 ) -> SpaceCurve:
     """Sweep curve 1's samples, transfer each into image 2, triangulate.
 
@@ -364,17 +356,17 @@ def lift_curve(
     scale = max(
         float(np.max(np.abs(curve1.samples))), float(np.max(np.abs(curve2.samples))), 1e-12
     )
-    table = _segments(curve2, tol.transfer_band * scale)
-    points, directions, degenerate = epipolar_lines(curve1.samples, pose1, pose2, tol=tol)
+    table = _segments(curve2, TRANSFER_BAND * scale)
+    points, directions, degenerate = epipolar_lines(curve1.samples, pose1, pose2)
     live = (~degenerate).nonzero()[0]
-    segment, weight, _, tangent = _match(table, points[live], directions[live], 0.0, tol)
+    segment, weight, _, tangent = _match(table, points[live], directions[live], 0.0)
     matched = segment >= 0
     lifted = matched & ~tangent
     kept_at = live[lifted]
     j = segment[lifted]
     matches2 = table.start[j] + weight[lifted, None] * table.vec[j]
     p3, gaps, parallel = triangulate_midpoints(
-        *rays_through(curve1.samples[kept_at], pose1), *rays_through(matches2, pose2), tol=tol
+        *rays_through(curve1.samples[kept_at], pose1), *rays_through(matches2, pose2)
     )
     flagged = degenerate.copy()
     flagged[live[matched & tangent]] = True

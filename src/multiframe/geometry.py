@@ -16,6 +16,13 @@ Projection has one implementation, the 3x4 projector of
 whose last row is ``(0, 0, 0, 1)``.  :func:`project_points` images a batch
 of points with one product, and :func:`project` is its one-row call.
 
+Rounding bounds are module constants, each next to its unit:
+:data:`ROTATION_ORTHONORMAL` for rotation matrices and camera bases,
+:data:`UNIT_VECTOR` for unit directions and rotation axes, and
+:data:`RAY_PARALLEL` for parallel rays.  The noise gates of the solvers
+are constants of the modules that use them (``ortho3p``, ``persp2f``,
+``curves``).
+
 All functions are pure; values may be shared freely across threads.
 """
 
@@ -25,11 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, Tolerances
 from .errors import DegenerateProjection, DegenerateTriangulation, InputError
 
 Vec3 = np.ndarray
 Vec2 = np.ndarray
+
+ROTATION_ORTHONORMAL = 1e-9  # absolute, on each entry of R^T R - I and on det R - 1
+UNIT_VECTOR = 1e-12  # absolute, on the norm of a unit vector less 1
+RAY_PARALLEL = 1e-10  # sine of the angle between two rays
 
 _EYE3 = np.eye(3)
 
@@ -67,11 +77,10 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InputError(f"rotation matrix must be 3x3, got {m.shape}")
-        tol = TOL.rotation_orthonormal
         # an absolute bound on every entry; a relative one lets column norms drift
-        if not (np.abs(m.T @ m - _EYE3) <= tol).all():
+        if not (np.abs(m.T @ m - _EYE3) <= ROTATION_ORTHONORMAL).all():
             raise InputError("rotation matrix columns are not orthonormal")
-        if abs(np.linalg.det(m) - 1.0) > tol:
+        if abs(np.linalg.det(m) - 1.0) > ROTATION_ORTHONORMAL:
             raise InputError("rotation matrix determinant is not +1")
         object.__setattr__(self, "matrix", m)
 
@@ -81,9 +90,13 @@ class Rotation:
 
     @classmethod
     def from_axis_angle(cls, axis: Vec3, angle: float) -> "Rotation":
-        """Rodrigues rotation about a unit axis by ``angle`` radians."""
+        """Rodrigues rotation about a unit axis by ``angle`` radians.
+
+        The axis norm must be within :data:`UNIT_VECTOR` of 1, as the formula
+        about doubles its error in ``R^T R`` (bounded by ``ROTATION_ORTHONORMAL``).
+        """
         axis = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > TOL.rotation_orthonormal:
+        if abs(np.linalg.norm(axis) - 1.0) > UNIT_VECTOR:
             raise InputError("rotation axis must be a unit vector")
         k = np.array(
             [
@@ -152,7 +165,7 @@ class Ray:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > TOL.unit_vector:
+        if abs(np.linalg.norm(d) - 1.0) > UNIT_VECTOR:
             raise InputError("ray direction must be a unit vector")
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
         object.__setattr__(self, "direction", d)
@@ -179,7 +192,7 @@ class CameraPose:
         o = np.asarray(self.origin, dtype=float)
         u = np.asarray(self.basis_u, dtype=float)
         v = np.asarray(self.basis_v, dtype=float)
-        tol = TOL.rotation_orthonormal
+        tol = ROTATION_ORTHONORMAL
         if abs(np.linalg.norm(u) - 1.0) > tol or abs(np.linalg.norm(v) - 1.0) > tol:
             raise InputError("plane basis vectors must be unit length")
         if abs(float(u @ v)) > tol:
@@ -242,14 +255,14 @@ def project_points(points, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
     """Images and depths of points through one :func:`projection_matrix` product.
 
     ``(n, 3)`` points give ``(n, 2)`` images and ``(n,)`` depths; orthographic
-    depths are 1.  A perspective point at depth ``<= TOL.unit_vector``
+    depths are 1.  A perspective point at depth ``<= UNIT_VECTOR``
     (at or behind the focal plane) raises :class:`DegenerateProjection` whose
     ``index`` is the first such row.
     """
     proj = projection_matrix(pose)
     x = np.asarray(points, dtype=float).reshape(-1, 3) @ proj[:, :3].T + proj[:, 3]
     depths = x[:, 2]
-    behind = np.flatnonzero(depths <= TOL.unit_vector)
+    behind = np.flatnonzero(depths <= UNIT_VECTOR)
     if behind.size:
         k = int(behind[0])
         raise DegenerateProjection(f"point at depth {depths[k]:.3g} cannot be projected", k)
@@ -286,19 +299,19 @@ def ray_through(image: Vec2, pose: CameraPose) -> Ray:
 
 
 def triangulate_midpoints(
-    o1: np.ndarray, d1: np.ndarray, o2: np.ndarray, d2: np.ndarray, *, tol: Tolerances = TOL
+    o1: np.ndarray, d1: np.ndarray, o2: np.ndarray, d2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise midpoints of the shortest segments joining two sets of rays.
 
     Rows of the ``(n, 3)`` arrays ``o1, d1`` and ``o2, d2`` are ray origins
     and unit directions.  Returns ``(n, 3)`` midpoints, ``(n,)`` gaps (the
     segment lengths, zero for intersecting rays) and an ``(n,)`` mask of
-    pairs parallel within ``tol.ray_parallel`` (sine of the angle), whose
+    pairs parallel within :data:`RAY_PARALLEL` (sine of the angle), whose
     midpoints and gaps are NaN.
     """
     n = cross(d1, d2)
     n2 = np.einsum("ij,ij->i", n, n)
-    parallel = np.sqrt(n2) < tol.ray_parallel
+    parallel = np.sqrt(n2) < RAY_PARALLEL
     w = o2 - o1
     with np.errstate(divide="ignore", invalid="ignore"):
         # Cramer's rule: t1 = det[w, d2, n] / |n|^2, t2 = det[w, d1, n] / |n|^2
@@ -313,17 +326,15 @@ def triangulate_midpoints(
     return mid, gap, parallel
 
 
-def triangulate_midpoint(
-    r1: Ray, r2: Ray, *, tol: Tolerances = TOL
-) -> tuple[Vec3, float]:
+def triangulate_midpoint(r1: Ray, r2: Ray) -> tuple[Vec3, float]:
     """Midpoint of the shortest segment joining two rays, plus its length.
 
     The gap is zero for exactly intersecting rays.  Rays parallel within
-    ``tol.ray_parallel`` (sine of the angle) raise
+    :data:`RAY_PARALLEL` (sine of the angle) raise
     :class:`DegenerateTriangulation`.
     """
     mid, gap, parallel = triangulate_midpoints(
-        r1.origin[None], r1.direction[None], r2.origin[None], r2.direction[None], tol=tol
+        r1.origin[None], r1.direction[None], r2.origin[None], r2.direction[None]
     )
     if parallel[0]:
         raise DegenerateTriangulation("rays are parallel within tolerance")

@@ -30,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 
-from .config import TOL, Tolerances
 from .errors import (
     AmbiguityError,
     DegenerateGeometry,
@@ -40,6 +39,12 @@ from .errors import (
     RankDeficientError,
 )
 from .geometry import RigidMotion, best_fit_motion, best_fit_motions, cross
+
+# Noise gates in powers of the scale, the longest observed edge; they stay
+# constants until a noise estimate replaces them
+ROOT_CLAMP = 1e-9  # x scale^2: a true squared length may fall this far below an observed one
+SIGN_PATTERN = 1e-7  # x scale: the least square-root relation must vanish within this
+RESIDUAL_FILTER = 1e-7  # x scale^4: the quartic residual of every frame beyond the third
 
 
 def edge_lengths(p, q, r) -> tuple[float, float, float]:
@@ -140,10 +145,11 @@ class LinearPair:
     def residual(self, x) -> np.ndarray:
         return self.rows @ np.asarray(x, dtype=float) + self.consts
 
-    def rank_deficient(self, rel_tol: float = 1e-10) -> bool:
+    def rank_deficient(self) -> bool:
+        """True when the rows are parallel within 1e-10 (sine of their angle)."""
         n = np.linalg.norm(cross(self.rows[0], self.rows[1]))
         d = np.linalg.norm(self.rows[0]) * np.linalg.norm(self.rows[1])
-        return d == 0.0 or n <= rel_tol * d
+        return d == 0.0 or n <= 1e-10 * d
 
 
 def linearized_pair(
@@ -200,20 +206,22 @@ def _quadratic_roots(alpha: float, beta: float, gamma: float, unit: float) -> li
 
 
 def frame_sign_pattern(
-    lengths_sq, obs: TriangleFrameObs, *, tol: Tolerances = TOL, scale: float | None = None
+    lengths_sq, obs: TriangleFrameObs, *, scale: float | None = None
 ) -> tuple[SignPattern, np.ndarray]:
     """Identify the vanishing square-root relation and the depth offsets.
 
     Returns the sign pattern plus one representative depth triple
     (dP = 0); the reflected triple is its negation.  If the squared
-    lengths fall below the observed ones beyond the clamp tolerance, or no
-    relation vanishes, the frame is inconsistent with the candidate.
+    lengths fall below the observed ones beyond :data:`ROOT_CLAMP`, or no
+    relation vanishes within :data:`SIGN_PATTERN`, the frame is
+    inconsistent with the candidate.  ``scale`` defaults to the frame's
+    longest edge.
     """
     lengths_sq = np.asarray(lengths_sq, dtype=float)
     if scale is None:
         scale = max(obs.a, obs.b, obs.c)
     diff = lengths_sq - obs.lengths_sq
-    if np.min(diff) < -tol.root_clamp * scale * scale:
+    if np.min(diff) < -ROOT_CLAMP * scale * scale:
         raise InconsistentDataError("true squared length below an observed one")
     roots = np.sqrt(np.clip(diff, 0.0, None))
     sa, sb, sc = roots
@@ -223,7 +231,7 @@ def frame_sign_pattern(
         SignPattern.MPP: -sa + sb + sc,
     }
     pattern = min(relations, key=lambda k: abs(relations[k]))
-    if abs(relations[pattern]) > tol.sign_pattern * scale:
+    if abs(relations[pattern]) > SIGN_PATTERN * scale:
         raise InconsistentDataError(
             f"no square-root relation vanishes (best {relations[pattern]:.3e})"
         )
@@ -234,9 +242,7 @@ def frame_sign_pattern(
     return pattern, depths
 
 
-def solve_triangle(
-    observations: list[TriangleFrameObs], *, tol: Tolerances = TOL
-) -> list[TriangleSolution]:
+def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolution]:
     """Candidate true length triples from three or more frames.
 
     Builds the linear pair from frames 1-3, walks the one-dimensional
@@ -281,7 +287,7 @@ def solve_triangle(
             uniq.append(s)
 
     floor = np.max([o.lengths_sq for o in observations], axis=0)
-    clamp = tol.root_clamp * scale * scale
+    clamp = ROOT_CLAMP * scale * scale
     solutions = []
     for s in uniq:
         x = x_part + s * direction
@@ -293,7 +299,7 @@ def solve_triangle(
         worst = 0.0
         for obs in observations:
             try:
-                pattern, depths = frame_sign_pattern(x, obs, tol=tol, scale=scale)
+                pattern, depths = frame_sign_pattern(x, obs, scale=scale)
             except InconsistentDataError:
                 ok = False
                 break
@@ -303,7 +309,7 @@ def solve_triangle(
         for obs in observations[3:]:
             resid = abs(eq4_residual(x[0], x[1], x[2], obs))
             worst = max(worst, resid)
-            if resid > tol.residual_filter * scale**4:
+            if resid > RESIDUAL_FILTER * scale**4:
                 ok = False
                 break
         if not ok:

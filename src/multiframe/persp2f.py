@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TOL, Tolerances
 from .dof import Regime
 from .errors import (
     AmbiguityError,
@@ -41,6 +40,11 @@ from .errors import (
     RankDeficientError,
 )
 from .geometry import Rotation, cross
+
+# noise gate, until a noise estimate replaces it: a composite with singular
+# values s0 >= s1 >= s2 is essential when (s0 - s1) / s0 and s2 / s0 stay within it
+ESSENTIAL_STRUCTURE = 1e-6
+DEPTH_SINGULAR = 1e-9  # s1 / s0 of a point's depth system: below it, on the baseline
 
 NINE_POINT_MESSAGE = (
     "nine correspondences are required to solve the composite matrix linearly "
@@ -159,7 +163,7 @@ def solve_composite(
 
 
 def decompose(
-    e: np.ndarray, *, structure_tol: float | None = None, tol: Tolerances = TOL
+    e: np.ndarray, *, structure_tol: float = ESSENTIAL_STRUCTURE
 ) -> list[tuple[Rotation, np.ndarray]]:
     """Rotation/translation-direction candidates of a composite matrix.
 
@@ -168,15 +172,13 @@ def decompose(
     essential-structure invariant raises :class:`NotEssentialError`.
     """
     e = np.asarray(e, dtype=float)
-    if structure_tol is None:
-        structure_tol = tol.essential_structure
     u, s, vt = np.linalg.svd(e)
     if s[0] <= 0:
         raise NotEssentialError("composite matrix is zero")
     if (s[0] - s[1]) / s[0] > structure_tol or s[2] / s[0] > structure_tol:
         raise NotEssentialError(
-            f"singular values {s} break the essential structure "
-            f"(tolerance {structure_tol:.2e}); correspondences are inconsistent"
+            "singular values %.3e, %.3e, %.3e break the essential structure (tolerance %.2e);"
+            " correspondences are inconsistent" % (*s, structure_tol)
         )
     if np.linalg.det(u) < 0:
         u = -u
@@ -206,8 +208,6 @@ def recover_depths(
     translation: np.ndarray,
     corr1: list[np.ndarray],
     corr2: list[np.ndarray],
-    *,
-    tol: Tolerances = TOL,
 ) -> DepthVote:
     """Solve the per-point 3-equation depth systems by linear elimination.
 
@@ -220,7 +220,7 @@ def recover_depths(
     n = len(corr1)
     mats = np.stack([bearing(corr1) @ rotation.matrix.T, -bearing(corr2)], axis=-1)
     u, s, vt = np.linalg.svd(mats, full_matrices=False)
-    solvable = s[:, 1] > tol.depth_singular * s[:, 0]
+    solvable = s[:, 1] > DEPTH_SINGULAR * s[:, 0]
     coeffs = np.einsum("nji,j->ni", u[solvable], -translation)
     depths = np.full((n, 2), np.nan)
     depths[solvable] = np.einsum("nji,nj->ni", vt[solvable], coeffs / s[solvable])
@@ -268,7 +268,6 @@ def two_frame_reconstruct(
     *,
     distinguished: str | None = None,
     allow_eight: bool = False,
-    tol: Tolerances = TOL,
 ) -> MotionEstimate:
     """Full pipeline: normalize, solve, decompose, vote, denormalize."""
     if dataset.regime is not Regime.PERSPECTIVE_CALIBRATED:
@@ -305,9 +304,9 @@ def two_frame_reconstruct(
     norm = normalize_distinguished(labels, uv1, uv2, distinguished)
     corr1, corr2 = norm.points1, norm.points2
     e, s_min, inconsistency = solve_composite(corr1, corr2, allow_eight=allow_eight)
-    structure_tol = max(tol.essential_structure, 100.0 * inconsistency)
-    candidates = decompose(e, structure_tol=structure_tol, tol=tol)
-    votes = [recover_depths(a, t, corr1, corr2, tol=tol) for a, t in candidates]
+    structure_tol = max(ESSENTIAL_STRUCTURE, 100.0 * inconsistency)
+    candidates = decompose(e, structure_tol=structure_tol)
+    votes = [recover_depths(a, t, corr1, corr2) for a, t in candidates]
     winners = [i for i, v in enumerate(votes) if v.accepted]
     if len(winners) != 1:
         raise AmbiguityError(

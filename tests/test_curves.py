@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multiframe.config import TOL
 from multiframe.curves import (
+    TANGENCY,
+    TRANSFER_BAND,
     ImageCurve,
     TransferGap,
     _candidates,
@@ -426,7 +427,7 @@ class TestSweepPosition:
         assert np.max(np.abs(lifted.points - np.array(points))) < 1e-12
 
 
-def reference_match(table, points, directions, prev_pos, tol=TOL):
+def reference_match(table, points, directions, prev_pos):
     """The transfer rule on the full ``(n, m)`` hit table, one row after another.
 
     Returns ``_match``'s four arrays and the table's hit mask.
@@ -436,7 +437,7 @@ def reference_match(table, points, directions, prev_pos, tol=TOL):
     offset = (table.start[:, 0] - points[:, :1]) * nx + (table.start[:, 1] - points[:, 1:]) * ny
     denom = table.vec[:, 0] * nx + table.vec[:, 1] * ny
     sin_angle = np.abs(denom) / table.length
-    parallel = sin_angle < tol.tangency
+    parallel = sin_angle < TANGENCY
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = -offset / denom
     crossing = (w >= table.lo) & (w <= table.hi) & ~parallel
@@ -457,7 +458,7 @@ def reference_match(table, points, directions, prev_pos, tol=TOL):
             kept = pos[r, c]
             if kept >= prev - band:
                 segment[r], weight[r], arc_pos[r], prev = c, clamped[r, c], kept, kept
-                tangent[r] = sin_angle[r, c] < 1e3 * tol.tangency
+                tangent[r] = sin_angle[r, c] < 1e3 * TANGENCY
                 break
     return (segment, weight, arc_pos, tangent), hit
 
@@ -527,7 +528,7 @@ class TestCandidateStage:
         pairs = set(zip(line.tolist(), seg.tolist()))
         assert len(pairs) == len(line)
         assert set(zip(*(a.tolist() for a in hit.nonzero()))) <= pairs
-        got = _match(table, points, directions, prev, TOL)
+        got = _match(table, points, directions, prev)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -552,7 +553,7 @@ class TestCandidateStage:
 
     def test_no_lines(self):
         table = _segments(ImageCurve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1e-6)
-        got = _match(table, np.empty((0, 2)), np.empty((0, 2)), 0.0, TOL)
+        got = _match(table, np.empty((0, 2)), np.empty((0, 2)), 0.0)
         assert [a.dtype.kind for a in got] == ["i", "f", "f", "b"]
         assert all(a.shape == (0,) for a in got)
 
@@ -576,6 +577,6 @@ class TestCandidateStage:
         points, directions, degenerate = epipolar_lines(
             c1.samples, truth_poses(ds, 0), truth_poses(ds, 1)
         )
-        table = _segments(c2, TOL.transfer_band * scale)
+        table = _segments(c2, TRANSFER_BAND * scale)
         line, _ = _candidates(table, points[~degenerate], directions[~degenerate])
         assert len(line) <= 4 * len(c1.samples)

@@ -10,6 +10,7 @@ from multiframe.errors import (
     InputError,
 )
 from multiframe.geometry import (
+    UNIT_VECTOR,
     CameraPose,
     Ray,
     RigidMotion,
@@ -114,13 +115,31 @@ class TestRotation:
         with pytest.raises(InputError):
             Rotation.from_axis_angle(vec3(0, 0, 2), 0.5)
 
+    def test_axis_off_unit_by_9e_10_rejected_as_axis(self):
+        # Rodrigues' formula about doubles the axis' norm error in R^T R, so this
+        # axis would build a matrix over the orthonormality bound (1e-9)
+        with pytest.raises(InputError, match="axis must be a unit vector"):
+            Rotation.from_axis_angle(vec3(0, 0, 1 + 9e-10), np.pi / 2)
+
+    @given(
+        direction=arrays(float, 3, elements=st.floats(-1.0, 1.0)),
+        stretch=st.floats(-UNIT_VECTOR, UNIT_VECTOR),
+        angle=st.floats(-100.0, 100.0),
+    )
+    def test_every_accepted_axis_gives_a_rotation(self, direction, stretch, angle):
+        norm = np.linalg.norm(direction)
+        assume(norm > 0.1)
+        axis = direction * ((1.0 + stretch) / norm)
+        assume(abs(np.linalg.norm(axis) - 1.0) <= UNIT_VECTOR)
+        Rotation.from_axis_angle(axis, angle)
+
     def test_bad_matrix_rejected(self):
         with pytest.raises(InputError):
             Rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
 
     def test_column_norm_drift_rejected(self):
         # determinant 1, but columns 4e-6 off unit length: far over
-        # rotation_orthonormal (1e-9), within a relative 1e-5
+        # ROTATION_ORTHONORMAL (1e-9), within a relative 1e-5
         with pytest.raises(InputError, match="orthonormal"):
             Rotation(np.diag([1 + 4e-6, 1 / (1 + 4e-6), 1.0]))
 

@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from multiframe.config import TOL
 from multiframe.dof import Regime
 from multiframe.errors import AmbiguityError, InputError, NotEssentialError, RankDeficientError
 from multiframe.geometry import Rotation, vec3
 from multiframe.persp2f import (
+    DEPTH_SINGULAR,
     DepthVote,
     bearing,
     decompose,
@@ -230,8 +230,10 @@ class TestDecompose:
             assert np.allclose(ta, tb)
 
     def test_structure_violation_rejected(self):
-        with pytest.raises(NotEssentialError):
+        with pytest.raises(NotEssentialError) as err:
             decompose(np.diag([1.0, 0.5, 0.0]))
+        # three plain floats, whatever numpy's print options
+        assert "singular values 1.000e+00, 5.000e-01, 0.000e+00 " in str(err.value)
 
 
 class TestRecoverDepths:
@@ -269,7 +271,7 @@ class TestRecoverDepths:
         assert 0 in vote.excluded
 
 
-def reference_depths(rotation, translation, corr1, corr2, tol=TOL):
+def reference_depths(rotation, translation, corr1, corr2):
     """Per-point depth vote: one svd and one lstsq for each correspondence."""
     n = len(corr1)
     depths = np.full((n, 2), np.nan)
@@ -282,7 +284,7 @@ def reference_depths(rotation, translation, corr1, corr2, tol=TOL):
         mat = np.column_stack([m1, -m2])
         sv = np.linalg.svd(mat, compute_uv=False)
         ratios[i] = sv[1] / sv[0]
-        if sv[1] <= tol.depth_singular * sv[0]:
+        if sv[1] <= DEPTH_SINGULAR * sv[0]:
             excluded.append(i)
             continue
         z, *_ = np.linalg.lstsq(mat, -translation, rcond=None)
