@@ -23,11 +23,19 @@ Rounding bounds are module constants, each next to its unit:
 are constants of the modules that use them (``ortho3p``, ``persp2f``,
 ``curves``).
 
+One fixed-size object, a 3-vector or a 3x3 matrix, is checked and combined
+on Python floats (``tolist()`` and ``math``): a numpy call costs 1 to 5 us
+whatever its size, several times the arithmetic on nine floats.  Batches of
+points, rays and matrices stay in numpy.  These checks are written so that a
+NaN fails them, ``not (err <= bound)``, and a pose, ray or motion takes only
+finite 3-vectors.
+
 All functions are pure; values may be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +49,6 @@ ROTATION_ORTHONORMAL = 1e-9  # absolute, on each entry of R^T R - I and on det R
 UNIT_VECTOR = 1e-12  # absolute, on the norm of a unit vector less 1
 RAY_PARALLEL = 1e-10  # sine of the angle between two rays
 
-_EYE3 = np.eye(3)
-
 
 def vec3(x, y, z) -> Vec3:
     return np.array([x, y, z], dtype=float)
@@ -50,6 +56,25 @@ def vec3(x, y, z) -> Vec3:
 
 def vec2(u, v) -> Vec2:
     return np.array([u, v], dtype=float)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D array, bit for bit: the same ``dot``, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _det3(rows) -> float:
+    """Determinant of a 3x3 matrix given as rows of Python floats (``m.tolist()``)."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _finite3(x, what: str) -> np.ndarray:
+    """``x`` as a ``(3,)`` float array with finite entries, else :class:`InputError`."""
+    a = np.asarray(x, dtype=float)
+    if a.shape != (3,) or not all(map(math.isfinite, a.tolist())):
+        raise InputError(f"{what} must be a finite 3-vector")
+    return a
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,10 +102,21 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InputError(f"rotation matrix must be 3x3, got {m.shape}")
-        # an absolute bound on every entry; a relative one lets column norms drift
-        if not (np.abs(m.T @ m - _EYE3) <= ROTATION_ORTHONORMAL).all():
+        rows = m.tolist()
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        tol = ROTATION_ORTHONORMAL
+        # an absolute bound on every entry of R^T R - I, the column dot products;
+        # a relative one lets column norms drift
+        if not (
+            abs(a * a + d * d + g * g - 1.0) <= tol
+            and abs(b * b + e * e + h * h - 1.0) <= tol
+            and abs(c * c + f * f + i * i - 1.0) <= tol
+            and abs(a * b + d * e + g * h) <= tol
+            and abs(a * c + d * f + g * i) <= tol
+            and abs(b * c + e * f + h * i) <= tol
+        ):
             raise InputError("rotation matrix columns are not orthonormal")
-        if abs(np.linalg.det(m) - 1.0) > ROTATION_ORTHONORMAL:
+        if not abs(_det3(rows) - 1.0) <= tol:
             raise InputError("rotation matrix determinant is not +1")
         object.__setattr__(self, "matrix", m)
 
@@ -96,15 +132,12 @@ class Rotation:
         about doubles its error in ``R^T R`` (bounded by ``ROTATION_ORTHONORMAL``).
         """
         axis = np.asarray(axis, dtype=float)
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_VECTOR:
+        if axis.shape != (3,) or not abs(_norm(axis) - 1.0) <= UNIT_VECTOR:
             raise InputError("rotation axis must be a unit vector")
-        k = np.array(
-            [
-                [0.0, -axis[2], axis[1]],
-                [axis[2], 0.0, -axis[0]],
-                [-axis[1], axis[0], 0.0],
-            ]
-        )
+        if not math.isfinite(angle):
+            raise InputError("rotation angle must be finite")
+        x, y, z = axis.tolist()
+        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
         m = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
         return cls(m)
 
@@ -132,10 +165,7 @@ class RigidMotion:
     translation: Vec3
 
     def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise InputError("translation must be a finite 3-vector")
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", _finite3(self.translation, "translation"))
 
     @classmethod
     def identity(cls) -> "RigidMotion":
@@ -164,10 +194,11 @@ class Ray:
     direction: Vec3
 
     def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > UNIT_VECTOR:
+        o = _finite3(self.origin, "ray origin")
+        d = _finite3(self.direction, "ray direction")
+        if not abs(math.hypot(*d.tolist()) - 1.0) <= UNIT_VECTOR:
             raise InputError("ray direction must be a unit vector")
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
+        object.__setattr__(self, "origin", o)
         object.__setattr__(self, "direction", d)
 
     def point_at(self, t: float) -> Vec3:
@@ -189,21 +220,23 @@ class CameraPose:
     focal: Vec3 | None = None
 
     def __post_init__(self):
-        o = np.asarray(self.origin, dtype=float)
-        u = np.asarray(self.basis_u, dtype=float)
-        v = np.asarray(self.basis_v, dtype=float)
+        o = _finite3(self.origin, "plane origin")
+        u = _finite3(self.basis_u, "plane basis vector")
+        v = _finite3(self.basis_v, "plane basis vector")
+        uu, vv = u.tolist(), v.tolist()
         tol = ROTATION_ORTHONORMAL
-        if abs(np.linalg.norm(u) - 1.0) > tol or abs(np.linalg.norm(v) - 1.0) > tol:
+        if not (abs(math.hypot(*uu) - 1.0) <= tol and abs(math.hypot(*vv) - 1.0) <= tol):
             raise InputError("plane basis vectors must be unit length")
-        if abs(float(u @ v)) > tol:
+        if not abs(uu[0] * vv[0] + uu[1] * vv[1] + uu[2] * vv[2]) <= tol:
             raise InputError("plane basis vectors must be orthogonal")
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "basis_u", u)
         object.__setattr__(self, "basis_v", v)
         if self.focal is not None:
-            f = np.asarray(self.focal, dtype=float)
-            n = cross(u, v)
-            if abs(float((f - o) @ n)) <= tol:
+            f = _finite3(self.focal, "focal point")
+            w = [a - b for a, b in zip(f.tolist(), o.tolist())]
+            # (f - o) . (u x v), the focal offset along the normal, as a triple product
+            if not abs(_det3([w, uu, vv])) > tol:
                 raise InputError("focal point must not lie in the projection plane")
             object.__setattr__(self, "focal", f)
 

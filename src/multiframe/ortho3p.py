@@ -25,6 +25,7 @@ triples gives the rigid motions from frame 1 to every later frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,7 +39,7 @@ from .errors import (
     NoSolutionError,
     RankDeficientError,
 )
-from .geometry import RigidMotion, best_fit_motion, best_fit_motions, cross
+from .geometry import RigidMotion, _norm, best_fit_motion, best_fit_motions, cross
 
 # Noise gates in powers of the scale, the longest observed edge; they stay
 # constants until a noise estimate replaces them
@@ -49,6 +50,9 @@ RESIDUAL_FILTER = 1e-7  # x scale^4: the quartic residual of every frame beyond 
 
 def edge_lengths(p, q, r) -> tuple[float, float, float]:
     """Projected segment lengths (|PQ|, |QR|, |RP|) of one frame."""
+    # np.linalg.norm's rounding is load-bearing: solve_triangle's finite-difference
+    # quadratic amplifies an ulp of a length, and math.dist in its place moves
+    # noiseless three-frame solutions by up to 7e-11 of the longest edge
     p, q, r = (np.asarray(x, dtype=float) for x in (p, q, r))
     a = float(np.linalg.norm(q - p))
     b = float(np.linalg.norm(r - q))
@@ -60,7 +64,8 @@ def edge_lengths(p, q, r) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class TriangleFrameObs:
-    """One frame's observation of the traced triangle; ``a, b, c`` = ``|PQ|, |QR|, |RP|``."""
+    """One frame's observation of the traced triangle; ``a, b, c`` = ``|PQ|, |QR|, |RP|``,
+    ``lengths_sq`` their squares."""
 
     p: np.ndarray
     q: np.ndarray
@@ -68,18 +73,16 @@ class TriangleFrameObs:
     a: float = field(init=False)
     b: float = field(init=False)
     c: float = field(init=False)
+    lengths_sq: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self):
-        for name, length in zip("abc", edge_lengths(self.p, self.q, self.r)):
-            object.__setattr__(self, name, length)
+        a, b, c = edge_lengths(self.p, self.q, self.r)
+        for name, value in zip(("a", "b", "c", "lengths_sq"), (a, b, c, (a**2, b**2, c**2))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_points(cls, p, q, r) -> "TriangleFrameObs":
         return cls(np.asarray(p, float), np.asarray(q, float), np.asarray(r, float))
-
-    @property
-    def lengths_sq(self) -> np.ndarray:
-        return np.array([self.a**2, self.b**2, self.c**2])
 
 
 class SignPattern(Enum):
@@ -147,8 +150,8 @@ class LinearPair:
 
     def rank_deficient(self) -> bool:
         """True when the rows are parallel within 1e-10 (sine of their angle)."""
-        n = np.linalg.norm(cross(self.rows[0], self.rows[1]))
-        d = np.linalg.norm(self.rows[0]) * np.linalg.norm(self.rows[1])
+        r0, r1 = self.rows
+        n, d = _norm(cross(r0, r1)), _norm(r0) * _norm(r1)
         return d == 0.0 or n <= 1e-10 * d
 
 
@@ -190,7 +193,7 @@ def _quadratic_roots(alpha: float, beta: float, gamma: float, unit: float) -> li
         if disc > -1e-12 * (beta * beta + abs(4 * alpha * gamma)):
             return [-beta / (2 * alpha)]
         return []
-    sq = float(np.sqrt(disc))
+    sq = math.sqrt(disc)
     if beta >= 0:
         qq = -(beta + sq) / 2
     else:
@@ -217,21 +220,20 @@ def frame_sign_pattern(
     inconsistent with the candidate.  ``scale`` defaults to the frame's
     longest edge.
     """
-    lengths_sq = np.asarray(lengths_sq, dtype=float)
     if scale is None:
         scale = max(obs.a, obs.b, obs.c)
-    diff = lengths_sq - obs.lengths_sq
-    if np.min(diff) < -ROOT_CLAMP * scale * scale:
+    clamp = -ROOT_CLAMP * scale * scale
+    da, db, dc = (float(x) - o for x, o in zip(lengths_sq, obs.lengths_sq))
+    if not (da >= clamp and db >= clamp and dc >= clamp):
         raise InconsistentDataError("true squared length below an observed one")
-    roots = np.sqrt(np.clip(diff, 0.0, None))
-    sa, sb, sc = roots
+    sa, sb, sc = (math.sqrt(max(d, 0.0)) for d in (da, db, dc))
     relations = {
         SignPattern.PPM: sa + sb - sc,
         SignPattern.PMP: sa - sb + sc,
         SignPattern.MPP: -sa + sb + sc,
     }
     pattern = min(relations, key=lambda k: abs(relations[k]))
-    if abs(relations[pattern]) > SIGN_PATTERN * scale:
+    if not abs(relations[pattern]) <= SIGN_PATTERN * scale:
         raise InconsistentDataError(
             f"no square-root relation vanishes (best {relations[pattern]:.3e})"
         )
@@ -263,15 +265,17 @@ def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolutio
         )
     x_part, *_ = np.linalg.lstsq(pair.rows, -pair.consts, rcond=None)
     direction = cross(pair.rows[0], pair.rows[1])
-    direction /= np.linalg.norm(direction)
+    norm = _norm(direction)
+    x_part, direction = x_part.tolist(), [d / norm for d in direction.tolist()]
+
+    def on_line(s: float) -> list[float]:
+        return [p + s * d for p, d in zip(x_part, direction)]
 
     h = scale * scale
     obs3 = observations[2]
 
     def eq_at(s: float) -> float:
-        x = x_part + s * direction
-        ai2, bi2, ci2 = obs3.lengths_sq
-        qa, qb, qc = x[0] - ai2, x[1] - bi2, x[2] - ci2
+        qa, qb, qc = (x - o for x, o in zip(on_line(s), obs3.lengths_sq))
         return qa * qa + qb * qb + qc * qc - 2 * qa * qb - 2 * qa * qc - 2 * qb * qc
 
     e0, ep, em = eq_at(0.0), eq_at(h), eq_at(-h)
@@ -286,14 +290,14 @@ def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolutio
         if not uniq or abs(s - uniq[-1]) > 1e-10 * h:
             uniq.append(s)
 
-    floor = np.max([o.lengths_sq for o in observations], axis=0)
-    clamp = ROOT_CLAMP * scale * scale
+    floor = [max(col) for col in zip(*(o.lengths_sq for o in observations))]
+    clamp = -ROOT_CLAMP * scale * scale
     solutions = []
     for s in uniq:
-        x = x_part + s * direction
-        if np.min(x - floor) < -clamp:
+        x = on_line(s)
+        if not all(v - f >= clamp for v, f in zip(x, floor)):
             continue
-        x = np.maximum(x, floor)
+        x = [max(v, f) for v, f in zip(x, floor)]
         frames = []
         ok = True
         worst = 0.0
@@ -314,7 +318,7 @@ def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolutio
                 break
         if not ok:
             continue
-        lengths = tuple(float(v) for v in np.sqrt(x))
+        lengths = tuple(math.sqrt(v) for v in x)
         solutions.append(TriangleSolution(lengths, frames, worst))
     if not solutions:
         raise NoSolutionError("no admissible length triple survived the filters")

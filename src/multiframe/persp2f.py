@@ -28,6 +28,7 @@ Label-keyed dicts are built only for the returned values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     NotEssentialError,
     RankDeficientError,
 )
-from .geometry import Rotation, cross
+from .geometry import Rotation, _det3, _norm, cross
 
 # noise gate, until a noise estimate replaces it: a composite with singular
 # values s0 >= s1 >= s2 is essential when (s0 - s1) / s0 and s2 / s0 stay within it
@@ -83,11 +84,10 @@ class NormalizedPair:
 
 def _axis_rotation(b: np.ndarray) -> Rotation:
     """Rotation taking the unit bearing ``b`` onto the optical axis."""
-    b = b / np.linalg.norm(b)
-    e3 = np.array([0.0, 0.0, 1.0])
-    axis = cross(b, e3)
-    s = np.linalg.norm(axis)
-    c = float(b @ e3)
+    b = b / _norm(b)
+    axis = cross(b, np.array([0.0, 0.0, 1.0]))
+    s = _norm(axis)
+    c = float(b[2])  # b . e3
     # s is the sine of b's angle to the axis.  Below 1e-15, a few ulps of a unit
     # vector, axis / s is rounding noise and the identity is within that angle;
     # bearings point forward (z > 0), so b is on the axis, not opposite it
@@ -180,9 +180,9 @@ def decompose(
             "singular values %.3e, %.3e, %.3e break the essential structure (tolerance %.2e);"
             " correspondences are inconsistent" % (*s, structure_tol)
         )
-    if np.linalg.det(u) < 0:
+    if _det3(u.tolist()) < 0:
         u = -u
-    if np.linalg.det(vt) < 0:
+    if _det3(vt.tolist()) < 0:
         vt = -vt
     w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t = u[:, 2]
@@ -256,7 +256,7 @@ def _pure_rotation_fit(b1: np.ndarray, b2: np.ndarray) -> tuple[Rotation, float]
     b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)
     h = b1.T @ b2
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
+    d = math.copysign(1.0, _det3(vt.tolist()) * _det3(u.tolist()))  # det(V U^T)
     rot = Rotation(vt.T @ np.diag([1.0, 1.0, d]) @ u.T)
     aligned = b1 @ rot.matrix.T
     dots = np.clip(np.sum(aligned * b2, axis=1), -1.0, 1.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from multiframe.geometry import (
     Ray,
     RigidMotion,
     Rotation,
+    _norm,
     best_fit_motion,
     best_fit_motions,
     best_fit_rotation,
@@ -79,6 +80,17 @@ def reference_project(p, pose):
     if pose.is_orthographic:
         return reference_orthographic(p, pose)
     return reference_perspective(p, pose)
+
+
+# entries added to an exact rotation: zero, 1e-12 to 1e-7 of either sign, within 1%
+# of the 1e-9 bound, or non-finite
+nudges = st.one_of(
+    st.just(0.0),
+    st.floats(-12.0, -7.0).flatmap(lambda e: st.sampled_from([10.0**e, -(10.0**e)])),
+    st.floats(0.99e-9, 1.01e-9).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+entries = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
 class TestRotation:
@@ -149,10 +161,61 @@ class TestRotation:
             m = random_rotation(rng).matrix + 1e-10 * rng.uniform(-1, 1, size=(3, 3))
             Rotation(m)
 
+    @settings(max_examples=500)
+    @given(
+        axis=arrays(float, 3, elements=st.floats(-1.0, 1.0)),
+        angle=st.floats(-3.2, 3.2),
+        stretch=st.floats(-1e-9, 1e-9),
+        at=entries,
+        shear=nudges,
+        at2=entries,
+        nudge=nudges,
+    )
+    def test_check_matches_the_numpy_rule(self, axis, angle, stretch, at, shear, at2, nudge):
+        # the check runs on Python floats; it must decide as the whole-array rule
+        # does, except where rounding alone moves an entry across the bound.  R (I + E)
+        # with one entry in E moves one entry of R^T R - I (or, on the diagonal, det R)
+        # alone, so each of the seven comparisons meets its bound.  A stretch by 1 + s
+        # moves det R by 3s and the diagonal by 2s, so the determinant meets its bound
+        # alone; the nudge adds a second entry anywhere, NaN and inf included
+        assume(np.linalg.norm(axis) > 0.1)
+        e = np.eye(3) * (1.0 + stretch)
+        e[at] += shear
+        r = Rotation.from_axis_angle(axis / np.linalg.norm(axis), angle).matrix
+        try:
+            with np.errstate(invalid="ignore"):
+                m = r @ e
+                m[at2] += nudge
+            Rotation(m)
+            accepted = True
+        except InputError:
+            accepted = False
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = np.abs(m.T @ m - np.eye(3))
+            det = abs(np.linalg.det(m) - 1.0)
+            want = bool((gram <= 1e-9).all() and det <= 1e-9)
+            if accepted != want:
+                assert abs(max(gram.max(), det) - 1e-9) <= 1e-15
+
+    def test_nan_axis_rejected_as_axis(self):
+        with pytest.raises(InputError, match="axis must be a unit vector"):
+            Rotation.from_axis_angle(vec3(np.nan, 0, 1), 0.5)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(InputError, match="angle must be finite"):
+            Rotation.from_axis_angle(vec3(0, 0, 1), angle)
+
 
 # magnitudes whose products and their differences stay finite
 coords = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
 vec_shapes = st.one_of(st.just((3,)), st.integers(0, 8).map(lambda n: (n, 3)))
+
+
+class TestNorm:
+    @given(v=st.integers(1, 8).flatmap(lambda n: arrays(np.float64, n, elements=coords)))
+    def test_equals_numpy_norm(self, v):
+        assert _norm(v) == np.linalg.norm(v)
 
 
 class TestCross:
@@ -554,3 +617,25 @@ class TestPoseValidation:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(InputError):
             CameraPose(vec3(0, 0, 0), vec3(1, 0, 0), vec3(1, 1, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["origin", "basis_u", "basis_v", "focal"])
+    def test_non_finite_vector_rejected(self, which, bad):
+        args = {"origin": vec3(0, 0, 1), "basis_u": vec3(1, 0, 0), "basis_v": vec3(0, 1, 0)}
+        args["focal"] = np.zeros(3)
+        args[which] = np.where([True, False, False], bad, args[which])
+        with pytest.raises(InputError, match="finite 3-vector"):
+            CameraPose(**args)
+
+    def test_two_vector_basis_rejected(self):
+        with pytest.raises(InputError, match="finite 3-vector"):
+            CameraPose(np.zeros(3), [1, 0], [0, 1])
+
+
+class TestRayValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_origin_or_direction_rejected(self, bad):
+        with pytest.raises(InputError, match="ray origin must be a finite 3-vector"):
+            Ray(vec3(bad, 0, 0), vec3(1, 0, 0))
+        with pytest.raises(InputError, match="ray direction must be a finite 3-vector"):
+            Ray(vec3(0, 0, 0), vec3(bad, 0, 0))
