@@ -9,12 +9,22 @@ along the view direction sum to zero):
     sqrt(a^2-a_i^2) - sqrt(b^2-b_i^2) + sqrt(c^2-c_i^2) = 0
    -sqrt(a^2-a_i^2) + sqrt(b^2-b_i^2) + sqrt(c^2-c_i^2) = 0
 
-Squaring twice turns any of them into one quartic equation per frame that
-is quadratic in (a^2, b^2, c^2).  Subtracting the third frame's equation
-from the first and second cancels the frame-independent quartic block and
-leaves two linear equations; the solution line substituted back into the
-third frame's quartic gives a univariate quadratic, hence at most two
-candidate length triples.  Frames beyond the third act as filters only.
+Squaring twice turns any of them into one quartic per frame in
+x = (a^2, b^2, c^2):
+
+    F_i(x) = B(x) + 2 l_i . x + c_i,   B(x) = 2 |x|^2 - (a^2 + b^2 + c^2)^2
+
+where the block B does not depend on the frame, and the frame's observed
+lengths give l_i = (-a_i^2+b_i^2+c_i^2, a_i^2-b_i^2+c_i^2, a_i^2+b_i^2-c_i^2)
+and c_i = B(a_i^2, b_i^2, c_i^2).  With q = B(x) as an unknown of its own,
+every frame is one row of a homogeneous k x 5 system M y = 0 in
+y = (x, q, w), under the one quadratic constraint q w = B(x).  The two smallest right singular vectors of
+M span a pencil, on which the constraint is a binary quadratic: at most two
+candidate length triples.  For three frames the pencil is M's exact null
+space and both roots are kept; for more it is the total-least-squares pencil
+and only the root of least misfit |M y| is kept.  A root's squared lengths
+may fall below the largest observed ones by its own misfit (at least
+ROOT_CLAMP), which grows with the image noise.
 
 Depth offsets per frame are recovered from the square roots up to a common
 shift and a per-frame reflection, which is a gauge: a posed triple is
@@ -39,24 +49,25 @@ from .errors import (
     NoSolutionError,
     RankDeficientError,
 )
-from .geometry import RigidMotion, _norm, best_fit_motion, best_fit_motions, cross
+from .geometry import RigidMotion, best_fit_motion, best_fit_motions
 
-# Noise gates in powers of the scale, the longest observed edge; they stay
-# constants until a noise estimate replaces them
-ROOT_CLAMP = 1e-9  # x scale^2: a true squared length may fall this far below an observed one
-SIGN_PATTERN = 1e-7  # x scale: the least square-root relation must vanish within this
-RESIDUAL_FILTER = 1e-7  # x scale^4: the quartic residual of every frame beyond the third
+# The root clamp, in powers of the scale, the longest observed edge: a true
+# squared length may fall this far below an observed one, or by a candidate's
+# own misfit |M y| where that is larger
+ROOT_CLAMP = 1e-9  # x scale^2
 
 
 def edge_lengths(p, q, r) -> tuple[float, float, float]:
     """Projected segment lengths (|PQ|, |QR|, |RP|) of one frame."""
-    # np.linalg.norm's rounding is load-bearing: solve_triangle's finite-difference
-    # quadratic amplifies an ulp of a length, and math.dist in its place moves
-    # noiseless three-frame solutions by up to 7e-11 of the longest edge
-    p, q, r = (np.asarray(x, dtype=float) for x in (p, q, r))
-    a = float(np.linalg.norm(q - p))
-    b = float(np.linalg.norm(r - q))
-    c = float(np.linalg.norm(p - r))
+    points = [np.asarray(x, dtype=float) for x in (p, q, r)]
+    if not all(x.shape == (2,) for x in points):
+        raise InputError("projected points must be 2-vectors")
+    (px, py), (qx, qy), (rx, ry) = (x.tolist() for x in points)
+    if not all(map(math.isfinite, (px, py, qx, qy, rx, ry))):
+        raise InputError("projected points must be finite")
+    a = math.hypot(qx - px, qy - py)
+    b = math.hypot(rx - qx, ry - qy)
+    c = math.hypot(px - rx, py - ry)
     if min(a, b, c) == 0.0:
         raise DegenerateGeometry("coincident projected points")
     return a, b, c
@@ -92,10 +103,6 @@ class SignPattern(Enum):
     PMP = (1, -1, 1)
     MPP = (-1, 1, 1)
 
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array(self.value, dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class FrameSolution:
@@ -107,15 +114,11 @@ class FrameSolution:
 class TriangleSolution:
     lengths: tuple[float, float, float]
     frames: list[FrameSolution]
-    max_eq4_residual: float
-
-    @property
-    def lengths_sq(self) -> np.ndarray:
-        return np.array([v * v for v in self.lengths])
+    max_eq4_residual: float  # the largest |F_i| over all frames, before the root clamp
 
 
-def _observed_block(obs: TriangleFrameObs) -> float:
-    a2, b2, c2 = obs.lengths_sq
+def _block(a2: float, b2: float, c2: float) -> float:
+    """B(x), the frame-independent quartic block; at observed lengths, c_i."""
     return a2 * a2 + b2 * b2 + c2 * c2 - 2 * a2 * b2 - 2 * a2 * c2 - 2 * b2 * c2
 
 
@@ -125,66 +128,44 @@ def eq4_residual(a2: float, b2: float, c2: float, obs: TriangleFrameObs) -> floa
     Zero exactly when (a2, b2, c2) is consistent with the frame; quadratic
     in its three arguments and homogeneous of degree four in the lengths.
     """
-    if min(a2, b2, c2) < 0:
+    if not (a2 >= 0 and b2 >= 0 and c2 >= 0):
         raise InputError("squared lengths must be nonnegative")
     ai2, bi2, ci2 = obs.lengths_sq
     return (
         a2 * a2 + b2 * b2 + c2 * c2
         - 2 * a2 * b2 - 2 * a2 * c2 - 2 * b2 * c2
-        + _observed_block(obs)
+        + _block(ai2, bi2, ci2)
         + 2 * (-ai2 + bi2 + ci2) * a2
         + 2 * (ai2 - bi2 + ci2) * b2
         + 2 * (ai2 + bi2 - ci2) * c2
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LinearPair:
-    """Two linear equations rows @ (a2, b2, c2) + consts = 0."""
+def pencil_rows(observations: list[TriangleFrameObs]) -> tuple[np.ndarray, float]:
+    """The k x 5 system M and its scale s, the longest observed edge.
 
-    rows: np.ndarray  # (2, 3)
-    consts: np.ndarray  # (2,)
-
-    def residual(self, x) -> np.ndarray:
-        return self.rows @ np.asarray(x, dtype=float) + self.consts
-
-    def rank_deficient(self) -> bool:
-        """True when the rows are parallel within 1e-10 (sine of their angle)."""
-        r0, r1 = self.rows
-        n, d = _norm(cross(r0, r1)), _norm(r0) * _norm(r1)
-        return d == 0.0 or n <= 1e-10 * d
-
-
-def linearized_pair(
-    obs1: TriangleFrameObs, obs2: TriangleFrameObs, obs3: TriangleFrameObs
-) -> LinearPair:
-    """Subtract frame 3's quartic from frames 1 and 2.
-
-    The block a^4+b^4+c^4-2a^2b^2-2a^2c^2-2b^2c^2 does not depend on the
-    frame, so the differences are linear in (a^2, b^2, c^2).
+    Row i is (2 l_i / s^2, 1, c_i / s^4), so that M @ (x / s^2, B(x) / s^4, 1)
+    is every frame's quartic F_i(x) / s^4.
     """
+    scale = max(max(o.a, o.b, o.c) for o in observations)
     rows = []
-    consts = []
-    ref = obs3.lengths_sq
-    ref_coeff = 2 * np.array([-ref[0] + ref[1] + ref[2], ref[0] - ref[1] + ref[2], ref[0] + ref[1] - ref[2]])
-    for obs in (obs1, obs2):
-        s = obs.lengths_sq
-        coeff = 2 * np.array([-s[0] + s[1] + s[2], s[0] - s[1] + s[2], s[0] + s[1] - s[2]])
-        rows.append(coeff - ref_coeff)
-        consts.append(_observed_block(obs) - _observed_block(obs3))
-    return LinearPair(np.array(rows), np.array(consts))
+    for obs in observations:
+        a2, b2, c2 = (v / scale / scale for v in obs.lengths_sq)
+        l_i = [-a2 + b2 + c2, a2 - b2 + c2, a2 + b2 - c2]
+        rows.append([2 * v for v in l_i] + [1.0, _block(a2, b2, c2)])
+    return np.array(rows), scale
 
 
-def _quadratic_roots(alpha: float, beta: float, gamma: float, unit: float) -> list[float]:
-    # coefficients live on very different scales; normalize by the natural
-    # magnitude of s (squared-length units) before deciding what is "zero"
-    mag = max(abs(alpha) * unit * unit, abs(beta) * unit, abs(gamma), 1e-300)
-    # the coefficients are differences of three quartic values, each rounded at
-    # about 1e-16 of mag; a term under 1e-13 of mag is that rounding with three
-    # digits to spare, so the quadratic drops to a line (or to no constraint)
-    if abs(alpha) * unit * unit <= 1e-13 * mag:
-        if abs(beta) * unit <= 1e-13 * mag:
-            raise AmbiguityError("frame-3 quartic does not constrain the solution line")
+def _quadratic_roots(alpha: float, beta: float, gamma: float) -> list[float]:
+    # the root s is O(1) in the scaled coordinates, so the coefficients compare
+    # directly; they are sums of products of a few unit-vector components,
+    # each rounded at about 1e-16 of mag; a term under 1e-13 of mag is that
+    # rounding with three digits to spare, so the quadratic drops to a line (or
+    # to no constraint)
+    mag = max(abs(alpha), abs(beta), abs(gamma), 1e-300)
+    if abs(alpha) <= 1e-13 * mag:
+        if abs(beta) <= 1e-13 * mag:
+            raise AmbiguityError("the constraint q w = B(x) does not fix a point of the pencil")
         return [-gamma / beta]
     disc = beta * beta - 4 * alpha * gamma
     if disc < 0:
@@ -208,20 +189,16 @@ def _quadratic_roots(alpha: float, beta: float, gamma: float, unit: float) -> li
     return roots
 
 
-def frame_sign_pattern(
-    lengths_sq, obs: TriangleFrameObs, *, scale: float | None = None
-) -> tuple[SignPattern, np.ndarray]:
+def frame_sign_pattern(lengths_sq, obs: TriangleFrameObs) -> tuple[SignPattern, np.ndarray]:
     """Identify the vanishing square-root relation and the depth offsets.
 
-    Returns the sign pattern plus one representative depth triple
-    (dP = 0); the reflected triple is its negation.  If the squared
-    lengths fall below the observed ones beyond :data:`ROOT_CLAMP`, or no
-    relation vanishes within :data:`SIGN_PATTERN`, the frame is
-    inconsistent with the candidate.  ``scale`` defaults to the frame's
-    longest edge.
+    Returns the pattern of the relation nearest zero plus one
+    representative depth triple (dP = 0); the reflected triple is its
+    negation.  If the squared lengths fall below the observed ones beyond
+    :data:`ROOT_CLAMP` of the frame's longest edge squared, the frame is
+    inconsistent with the candidate.
     """
-    if scale is None:
-        scale = max(obs.a, obs.b, obs.c)
+    scale = max(obs.a, obs.b, obs.c)
     clamp = -ROOT_CLAMP * scale * scale
     da, db, dc = (float(x) - o for x, o in zip(lengths_sq, obs.lengths_sq))
     if not (da >= clamp and db >= clamp and dc >= clamp):
@@ -233,10 +210,6 @@ def frame_sign_pattern(
         SignPattern.MPP: -sa + sb + sc,
     }
     pattern = min(relations, key=lambda k: abs(relations[k]))
-    if not abs(relations[pattern]) <= SIGN_PATTERN * scale:
-        raise InconsistentDataError(
-            f"no square-root relation vanishes (best {relations[pattern]:.3e})"
-        )
     if pattern is SignPattern.PPM:
         depths = np.array([0.0, sa, sa + sb])
     else:
@@ -247,81 +220,64 @@ def frame_sign_pattern(
 def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolution]:
     """Candidate true length triples from three or more frames.
 
-    Builds the linear pair from frames 1-3, walks the one-dimensional
-    affine solution line, intersects it with frame 3's quartic, keeps
-    admissible real roots (squared lengths at least the observed ones,
-    clamped near tangency), assigns per-frame sign patterns and depth
-    offsets, and filters candidates by the quartic residual on every
-    frame beyond the third.
+    Intersects the pencil of the frames' homogeneous system with the
+    constraint q w = B(x) (see the module docstring), keeps both roots for
+    three frames and the one of least misfit for more, clamps each to the
+    largest observed squared lengths within its misfit, and assigns
+    per-frame sign patterns and depth offsets.
     """
     if len(observations) < 3:
         raise InputError("need at least 3 frames (two frames never suffice)")
-    scale = max(max(o.a, o.b, o.c) for o in observations)
-    pair = linearized_pair(observations[0], observations[1], observations[2])
-    if pair.rank_deficient():
+    m, scale = pencil_rows(observations)
+    _, sv, vt = np.linalg.svd(m)
+    # M's entries are O(1) and its singular values round at about 1e-16 of
+    # s1; a third one under 1e-10 of s1 is that rounding with six digits to
+    # spare, so the pencil is not a line
+    if not sv[2] > 1e-10 * sv[0]:
         raise RankDeficientError(
-            "linearized frame pair is rank deficient (degenerate motion, e.g. "
+            "frame quartics are rank deficient (degenerate motion, e.g. "
             "in-plane rotation across all frames)"
         )
-    x_part, *_ = np.linalg.lstsq(pair.rows, -pair.consts, rcond=None)
-    direction = cross(pair.rows[0], pair.rows[1])
-    norm = _norm(direction)
-    x_part, direction = x_part.tolist(), [d / norm for d in direction.tolist()]
-
-    def on_line(s: float) -> list[float]:
-        return [p + s * d for p, d in zip(x_part, direction)]
-
-    h = scale * scale
-    obs3 = observations[2]
-
-    def eq_at(s: float) -> float:
-        qa, qb, qc = (x - o for x, o in zip(on_line(s), obs3.lengths_sq))
-        return qa * qa + qb * qb + qc * qc - 2 * qa * qb - 2 * qa * qc - 2 * qb * qc
-
-    e0, ep, em = eq_at(0.0), eq_at(h), eq_at(-h)
-    alpha = (ep + em - 2 * e0) / (2 * h * h)
-    beta = (ep - em) / (2 * h)
-    gamma = e0
-    roots = _quadratic_roots(alpha, beta, gamma, h)
+    u, v = vt[3].tolist(), vt[4].tolist()
+    wu, wv = u[4], v[4]
+    ww = wu * wu + wv * wv
+    if ww == 0.0:
+        raise NoSolutionError("the pencil lies at infinity (w = 0)")
+    # the pencil's point b with w = 1, and its unit direction t with w = 0
+    b = [(wu * p + wv * q) / ww for p, q in zip(u, v)]
+    t = [(wv * p - wu * q) / math.sqrt(ww) for p, q in zip(u, v)]
+    # q w - B(x) at b + s t is -B(t) s^2 + (t_q - bt) s + b_q - B(b), where
+    # bt = 2 B(b, t) is twice the polar form of B
+    bt =4 * (b[0] * t[0] + b[1] * t[1] + b[2] * t[2]) - 2 * sum(b[:3]) * sum(t[:3])
+    roots = _quadratic_roots(-_block(*t[:3]), t[3] - bt, b[3] - _block(*b[:3]))
 
     # dedupe nearly equal roots
     uniq: list[float] = []
     for s in sorted(roots):
-        if not uniq or abs(s - uniq[-1]) > 1e-10 * h:
+        if not uniq or abs(s - uniq[-1]) > 1e-10:
             uniq.append(s)
-
-    floor = [max(col) for col in zip(*(o.lengths_sq for o in observations))]
-    clamp = -ROOT_CLAMP * scale * scale
-    solutions = []
+    rows = m.tolist()
+    candidates = []
     for s in uniq:
-        x = on_line(s)
+        y = [p + s * q for p, q in zip(b, t)]
+        resid = [sum(r * c for r, c in zip(row, y)) for row in rows]  # every F_i / scale^4
+        candidates.append((math.hypot(*resid), max(map(abs, resid)), y[:3]))
+    if len(observations) > 3:
+        candidates = sorted(candidates)[:1]
+
+    h = scale * scale
+    floor = [max(col) for col in zip(*(o.lengths_sq for o in observations))]
+    solutions = []
+    for misfit, worst, y in candidates:
+        x = [v * h for v in y]
+        clamp = -max(ROOT_CLAMP, misfit) * h
         if not all(v - f >= clamp for v, f in zip(x, floor)):
             continue
         x = [max(v, f) for v, f in zip(x, floor)]
-        frames = []
-        ok = True
-        worst = 0.0
-        for obs in observations:
-            try:
-                pattern, depths = frame_sign_pattern(x, obs, scale=scale)
-            except InconsistentDataError:
-                ok = False
-                break
-            frames.append(FrameSolution(pattern, depths))
-        if not ok:
-            continue
-        for obs in observations[3:]:
-            resid = abs(eq4_residual(x[0], x[1], x[2], obs))
-            worst = max(worst, resid)
-            if resid > RESIDUAL_FILTER * scale**4:
-                ok = False
-                break
-        if not ok:
-            continue
-        lengths = tuple(math.sqrt(v) for v in x)
-        solutions.append(TriangleSolution(lengths, frames, worst))
+        frames = [FrameSolution(*frame_sign_pattern(x, obs)) for obs in observations]
+        solutions.append(TriangleSolution(tuple(math.sqrt(v) for v in x), frames, worst * h * h))
     if not solutions:
-        raise NoSolutionError("no admissible length triple survived the filters")
+        raise NoSolutionError("no candidate length triple clears the observed lengths")
     return solutions
 
 

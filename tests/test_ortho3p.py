@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiframe.dof import Regime
 from multiframe.errors import (
@@ -13,8 +15,8 @@ from multiframe.ortho3p import (
     edge_lengths,
     eq4_residual,
     frame_sign_pattern,
-    linearized_pair,
     observations_from_dataset,
+    pencil_rows,
     posed_triple,
     recover_motions_consistent,
     solve_triangle,
@@ -32,13 +34,19 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
+def block(a2, b2, c2):
+    """The frame-independent quartic block B(a2, b2, c2)."""
+    return a2 * a2 + b2 * b2 + c2 * c2 - 2 * a2 * b2 - 2 * a2 * c2 - 2 * b2 * c2
+
+
 def make_obs(seed, n_frames=3):
     """Triangle + generic rotations, rendered orthographically."""
     scene = random_triangle_scene(seed)
     script = random_motion_script(seed + 1, n_frames, Regime.ORTHOGRAPHIC, scene)
     ds = render(scene, script, Regime.ORTHOGRAPHIC)
-    truth = np.array([edge_lengths(*(scene.points[l] for l in ("P", "Q", "R")))])
-    return observations_from_dataset(ds, ["P", "Q", "R"]), truth[0], ds
+    p, q, r = (scene.points[lab] for lab in ("P", "Q", "R"))
+    truth = np.linalg.norm([q - p, r - q, p - r], axis=1)
+    return observations_from_dataset(ds, ["P", "Q", "R"]), truth, ds
 
 
 class TestEdgeLengths:
@@ -62,8 +70,26 @@ class TestEdgeLengths:
         with pytest.raises(DegenerateGeometry):
             edge_lengths(vec2(0, 0), vec2(0, 0), vec2(1, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            TriangleFrameObs.from_points([bad, 0.0], [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(InputError, match="finite"):
+            edge_lengths(vec2(0, 0), vec2(1, 0), vec2(0, bad))
+
+    @pytest.mark.parametrize("p", [vec3(0, 0, 0), [0.0], 0.0, [[0.0, 0.0]]])
+    def test_points_other_than_2_vectors_rejected(self, p):
+        with pytest.raises(InputError, match="2-vectors"):
+            TriangleFrameObs.from_points(p, [1.0, 0.0], [0.0, 1.0])
+
 
 class TestEq4:
+    @pytest.mark.parametrize("x", [(np.nan, 1, 1), (1, np.nan, 1), (1, 1, np.nan), (1, -1, 1)])
+    def test_nan_or_negative_squared_length_rejected(self, x):
+        obs = TriangleFrameObs.from_points(vec2(0, 0), vec2(1, 0), vec2(0, 1))
+        with pytest.raises(InputError):
+            eq4_residual(*x, obs)
+
     def test_truth_residual_vanishes(self):
         obs_list, truth, _ = make_obs(2)
         scale = max(max(o.a, o.b, o.c) for o in obs_list)
@@ -96,35 +122,30 @@ class TestEq4:
             assert np.isclose(eq4_residual(a2, b2, c2, obs), compact, atol=1e-9)
 
 
-class TestLinearizedPair:
-    def test_identical_frames_give_zero_row(self):
+class TestPencilRows:
+    def test_identical_frames_rank_deficient(self):
         obs_list, _, _ = make_obs(4)
-        pair = linearized_pair(obs_list[0], obs_list[1], obs_list[0])
-        assert np.allclose(pair.rows[0], 0.0)
-        assert np.isclose(pair.consts[0], 0.0)
-        assert pair.rank_deficient()
+        with pytest.raises(RankDeficientError):
+            solve_triangle([obs_list[0], obs_list[1], obs_list[0]])
 
-    def test_truth_satisfies_both_rows(self):
-        obs_list, truth, _ = make_obs(5)
-        pair = linearized_pair(*obs_list[:3])
-        x = truth**2
-        scale = max(max(o.a, o.b, o.c) for o in obs_list)
-        assert np.all(np.abs(pair.residual(x)) < 1e-9 * scale**4)
+    def test_truth_satisfies_every_row(self):
+        obs_list, truth, _ = make_obs(5, n_frames=5)
+        m, scale = pencil_rows(obs_list)
+        x = truth**2 / scale**2
+        y = np.array([*x, block(*x), 1.0])
+        assert np.all(np.abs(m @ y) < 1e-12)
 
-    def test_rows_match_direct_eq4_subtraction(self):
+    def test_rows_match_eq4_residual(self):
         # polynomial identity sampled at 10 random arguments
         rng = np.random.default_rng(6)
         obs_list, _, _ = make_obs(7)
-        pair = linearized_pair(*obs_list[:3])
+        m, scale = pencil_rows(obs_list)
+        h = scale**2
         for _ in range(10):
             x = rng.uniform(0.0, 5.0, size=3)
-            direct = np.array(
-                [
-                    eq4_residual(*x, obs_list[0]) - eq4_residual(*x, obs_list[2]),
-                    eq4_residual(*x, obs_list[1]) - eq4_residual(*x, obs_list[2]),
-                ]
-            )
-            assert np.allclose(pair.residual(x), direct, atol=1e-9)
+            got = m @ np.array([*(x / h), block(*x) / h**2, 1.0]) * h**2
+            direct = [eq4_residual(*x, obs) for obs in obs_list]
+            assert np.allclose(got, direct, atol=1e-9)
 
 
 class TestSolveTriangle:
@@ -170,6 +191,18 @@ class TestSolveTriangle:
             )
             assert best < 1e-6
         assert singles >= trials - 1  # ties are possible but rare
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**31 - 2), n_frames=st.integers(3, 6))
+    def test_noiseless_scene_solved(self, seed, n_frames):
+        # three frames give both roots of the exact pencil, more frames the one
+        # of least misfit
+        obs_list, truth, _ = make_obs(seed, n_frames)
+        sols = solve_triangle(obs_list)
+        best = min(np.max(np.abs(np.array(s.lengths) - truth)) for s in sols)
+        assert best < 1e-10 * truth.max()
+        if n_frames >= 4:
+            assert len(sols) == 1
 
     def test_two_frames_rejected(self):
         obs_list, _, _ = make_obs(13)

@@ -9,14 +9,24 @@ committed count in the same change, and one that solves fewer says why.
 
     PYTHONPATH=src python tests/test_solve_floors.py > tests/solve_floors.json
 
-rewrites the file from the current package.
+rewrites the file from the current package; ``--seeds 1 2 3 ...`` counts
+other seeds instead (the gated file stays on seeds 1 and 2).  The file also
+holds each cell's median error over the jobs that return a result, ungated:
+for ortho3p the best candidate's worst edge-length error over the longest
+true edge, for persp2f the larger of the rotation and translation-direction
+errors in radians, for curves the worst lifted sample's error over the scene
+diameter.
 """
 
+import argparse
 import importlib.util
 import json
+import statistics
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FLOORS = Path(__file__).with_name("solve_floors.json")
@@ -32,13 +42,39 @@ def load_workloads():
     return module
 
 
-def cell_counts() -> dict:
-    """``{workload: {"solver size sigma": "passed/jobs"}}`` over ``SEEDS``."""
+def _ortho3p_error(workloads, ds, solutions) -> float:
+    p, q, r = (ds.truth.points3d[lab] for lab in ds.labels[:3])
+    truth = np.array([np.linalg.norm(q - p), np.linalg.norm(r - q), np.linalg.norm(p - r)])
+    return min(np.max(np.abs(np.array(s.lengths) - truth)) for s in solutions) / truth.max()
+
+
+def _persp2f_error(workloads, ds, est) -> float:
+    if est.translation is None:
+        return float("inf")
+    rot, trans = workloads.persp2f.relative_truth_motion(ds)
+    return max(est.rotation.angle_to(rot), workloads._angle(est.translation, trans))
+
+
+def _curves_error(workloads, ds, lifted) -> float:
+    if not lifted.source_indices:
+        return float("inf")
+    truth = ds.truth.curves3d[0]["samples"]
+    pts = np.array(list(ds.truth.points3d.values()))
+    diam = np.max(np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
+    return np.max(np.linalg.norm(lifted.points - truth[lifted.source_indices], axis=1)) / diam
+
+
+ERRORS = {"ortho3p": _ortho3p_error, "persp2f": _persp2f_error, "curves": _curves_error}
+
+
+def cell_counts(seeds=SEEDS) -> tuple[dict, dict]:
+    """``{workload: {"solver size sigma": "passed/jobs"}}`` over ``seeds``, and
+    ``{workload: {"solver size sigma": median error}}`` as text."""
     workloads = load_workloads()
-    out = {}
+    counts, medians = {}, {}
     for name, build in workloads.BUILDERS.items():
-        passed, jobs = Counter(), Counter()
-        for seed in SEEDS:
+        passed, jobs, errors = Counter(), Counter(), defaultdict(list)
+        for seed in seeds:
             for item in build(seed):
                 key = f"{item.kind} {item.size} {item.sigma:g}"
                 jobs[key] += 1
@@ -47,15 +83,19 @@ def cell_counts() -> dict:
                 except workloads.JOB_ERRORS:
                     continue
                 passed[key] += workloads.check(item, ds, result) is None
-        out[name] = {key: f"{passed[key]}/{jobs[key]}" for key in jobs}
-    return out
+                errors[key].append(float(ERRORS[item.kind](workloads, ds, result)))
+        counts[name] = {key: f"{passed[key]}/{jobs[key]}" for key in jobs}
+        medians[name] = {
+            key: f"{statistics.median(errors[key]):.1e}" if errors[key] else "none" for key in jobs
+        }
+    return counts, medians
 
 
 def test_cell_counts_equal_the_committed_ones():
     doc = json.loads(FLOORS.read_text())
     assert doc["seeds"] == list(SEEDS)
     want = doc["cells"]
-    got = cell_counts()
+    got, _ = cell_counts()
     moved = [
         f"{name} {key}: {got[name].get(key)} passed, committed {count}"
         for name in want
@@ -67,6 +107,10 @@ def test_cell_counts_equal_the_committed_ones():
 
 
 if __name__ == "__main__":
-    doc = {"seeds": list(SEEDS), "cells": cell_counts()}
+    parser = argparse.ArgumentParser(description="Count per-cell solves and median errors.")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
+    seeds = parser.parse_args().seeds
+    cells, medians = cell_counts(seeds)
+    doc = {"seeds": seeds, "cells": cells, "median_errors": medians}
     json.dump(doc, sys.stdout, indent=2)
     print()
