@@ -13,8 +13,8 @@ rotations, optional ``curves3d``) and optional ``noise`` metadata.  A frame's
 the same labels, in any key order, and the writer sorts them.
 
 Reading sorts the first frame's labels into the dataset's ``labels`` tuple
-and parses each frame's ``points`` object straight into its row of the
-``(k, n, 2)`` ``points`` array, in that order.  A frame whose labels differ
+and converts every frame's ``points`` object, in that order, into the
+``(k, n, 2)`` ``points`` array in one call.  A frame whose labels differ
 from the first frame's raises ``frames[1].points: missing label 'b'`` (or
 names the label it adds).  A sample list (``frames[*].curves[*].samples``,
 ``truth.curves3d[*].samples``), the values of a labeled-point object
@@ -193,7 +193,8 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
     raw_frames = doc.get("frames")
     if not isinstance(raw_frames, list) or not raw_frames:
         raise ParseError("'frames' must be a non-empty array")
-    labels = points = None
+    labels = None
+    rows = []  # each frame's points in label order, converted below as one array
     frames = []
     for k, rf in enumerate(raw_frames):
         where = f"frames[{k}]"
@@ -201,10 +202,9 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
         obj = _object(rf["points"], f"{where}.points")
         if labels is None:
             labels = tuple(sorted(obj))
-            points = np.empty((len(raw_frames), len(labels), 2))
         elif obj.keys() != set(labels):
             _label_mismatch(obj, labels, f"{where}.points")
-        points[k] = _parse_labeled(obj, labels, 2, f"{where}.points")
+        rows.append([obj[lab] for lab in labels])
         curves = []
         for ci, rc in enumerate(_list(rf.get("curves") or [], f"{where}.curves")):
             cw = f"{where}.curves[{ci}]"
@@ -214,6 +214,12 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
                 entry["endpoints"] = _list(rc["endpoints"], f"{cw}.endpoints")[:]
             curves.append(entry)
         frames.append(FrameObs(_int(rf["id"], f"{where}.id"), curves))
+    points = _finite_rows(rows, len(labels), 2)
+    if points is None:  # walked frame by frame, to name the first bad point
+        walk = enumerate(raw_frames)
+        points = np.array(
+            [_parse_labeled(rf["points"], labels, 2, f"frames[{k}].points") for k, rf in walk]
+        )
     truth = None
     if "truth" in doc and doc["truth"] is not None:
         truth = _parse_truth(doc["truth"], len(frames))
@@ -275,8 +281,8 @@ def _parse_vec(v, dim: int, where: str) -> np.ndarray:
     return arr
 
 
-def _finite_rows(rows: list, dim: int) -> np.ndarray | None:
-    """``rows`` as one ``(n, dim)`` array of finite floats, or None if any row fails.
+def _finite_rows(rows: list, *shape: int) -> np.ndarray | None:
+    """``rows`` as one ``(len(rows), *shape)`` array of finite floats, or None if any fails.
 
     ``[]`` gives shape ``(0,)``.  A caller that gets None walks the rows
     through :func:`_parse_vec`, which names the first bad one: numpy and
@@ -287,7 +293,7 @@ def _finite_rows(rows: list, dim: int) -> np.ndarray | None:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if (arr.shape == (len(rows), dim) or not rows) and np.isfinite(arr).all():
+    if (arr.shape == (len(rows), *shape) or not rows) and np.isfinite(arr).all():
         return arr
     return None
 

@@ -377,31 +377,35 @@ def triangulate_midpoint(r1: Ray, r2: Ray) -> tuple[Vec3, float]:
 def best_fit_motions(src: np.ndarray, dst: np.ndarray) -> list[tuple[RigidMotion, float]]:
     """Rigid motions mapping ``src`` onto each row of ``dst`` in least squares.
 
-    ``src`` is ``(n, 3)``, n >= 3 points not collinear; ``dst`` is ``(k, n, 3)``.  One
-    stacked SVD of the centered cross-covariances, determinants forced to +1, gives the k
-    rotations.  Returns ``(motion, rms_residual)`` per row of ``dst``.
+    ``src`` is ``(n, 3)``, n >= 3 finite points not collinear; ``dst`` is ``(k, n, 3)``,
+    finite.  One stacked SVD of the centered cross-covariances, determinants forced to +1,
+    gives the k rotations.  Returns ``(motion, rms_residual)`` per row of ``dst``.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     if src.ndim != 2 or src.shape[0] < 3 or src.shape[1] != 3 or dst.shape[1:] != src.shape:
         raise InputError("need (n, 3) points, n >= 3, and (k, n, 3) targets matching them")
-    s_mean = src.mean(axis=0)
-    d_mean = dst.mean(axis=1)
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise InputError("points must be finite")
+    n = len(src)
+    s_mean = np.add.reduce(src, axis=0) / n  # src.mean(axis=0), bit for bit
+    d_mean = np.add.reduce(dst, axis=1) / n
     sc = src - s_mean
     dc = dst - d_mean[:, None]
     u, s, vt = np.linalg.svd(np.einsum("ni,knj->kij", sc, dc))
     # rank < 2 means collinear points: rotation about the line is free.  Rounding
-    # leaves a collinear set's s[1] near 1e-16 * s[0]; 1e-12 keeps four digits over
-    # that and accepts sets wider than 1e-6 of their length.  Relative to s[0], so
-    # it holds at every scale; a set with no spread (s[0] = 0) still fails
-    if (s[:, 1] <= 1e-12 * s[:, 0]).any():
-        raise InputError("point sets are collinear; rotation is ill-posed")
-    vt[:, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]
-    rot = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
-    resid = np.sqrt(((sc @ np.swapaxes(rot, 1, 2) - dc) ** 2).sum(axis=(1, 2)))
-    resid /= np.sqrt(src.shape[0])
-    trans = d_mean - rot @ s_mean
-    return [(RigidMotion(Rotation(r), t), float(e)) for r, t, e in zip(rot, trans, resid)]
+    # leaves a collinear set's s1 near 1e-16 * s0; 1e-12 keeps four digits over
+    # that and accepts sets wider than 1e-6 of their length.  Relative to s0, so
+    # it holds at every scale; a set with no spread (s0 = 0) still fails
+    for i, ((s0, s1, _), ui, vi) in enumerate(zip(s.tolist(), u.tolist(), vt.tolist())):
+        if s1 <= 1e-12 * s0:
+            raise InputError("point sets are collinear; rotation is ill-posed")
+        if _det3(ui) * _det3(vi) < 0:  # the sign of det(V U^T): flip V's last column
+            vt[i, 2] = -vt[i, 2]
+    rot = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
+    resid = np.sqrt(np.add.reduce((sc @ rot.transpose(0, 2, 1) - dc) ** 2, axis=(1, 2)))
+    fits = zip(rot, d_mean - rot @ s_mean, (resid / math.sqrt(n)).tolist())
+    return [(RigidMotion(Rotation(r), t), e) for r, t, e in fits]
 
 
 def best_fit_rotation(src: np.ndarray, dst: np.ndarray) -> tuple[Rotation, float]:

@@ -36,6 +36,7 @@ triples gives the rigid motions from frame 1 to every later frame.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,7 +77,9 @@ def edge_lengths(p, q, r) -> tuple[float, float, float]:
 @dataclass(frozen=True, eq=False)
 class TriangleFrameObs:
     """One frame's observation of the traced triangle; ``a, b, c`` = ``|PQ|, |QR|, |RP|``,
-    ``lengths_sq`` their squares."""
+    ``lengths_sq`` their squares.  A square above the double range raises :class:`InputError`;
+    edges under about 1.5e-162 square to 0, and frames of such edges make
+    :func:`solve_triangle` raise :class:`RankDeficientError`."""
 
     p: np.ndarray
     q: np.ndarray
@@ -88,7 +91,11 @@ class TriangleFrameObs:
 
     def __post_init__(self):
         a, b, c = edge_lengths(self.p, self.q, self.r)
-        for name, value in zip(("a", "b", "c", "lengths_sq"), (a, b, c, (a**2, b**2, c**2))):
+        try:  # libm's pow, which rounds unlike a * a in about 1 case of 1,000
+            squares = (a**2, b**2, c**2)
+        except OverflowError:
+            raise InputError("projected edge lengths overflow when squared") from None
+        for name, value in zip(("a", "b", "c", "lengths_sq"), (a, b, c, squares)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -204,17 +211,11 @@ def frame_sign_pattern(lengths_sq, obs: TriangleFrameObs) -> tuple[SignPattern, 
     if not (da >= clamp and db >= clamp and dc >= clamp):
         raise InconsistentDataError("true squared length below an observed one")
     sa, sb, sc = (math.sqrt(max(d, 0.0)) for d in (da, db, dc))
-    relations = {
-        SignPattern.PPM: sa + sb - sc,
-        SignPattern.PMP: sa - sb + sc,
-        SignPattern.MPP: -sa + sb + sc,
-    }
-    pattern = min(relations, key=lambda k: abs(relations[k]))
-    if pattern is SignPattern.PPM:
-        depths = np.array([0.0, sa, sa + sb])
-    else:
-        depths = np.array([0.0, sa, sa - sb])
-    return pattern, depths
+    # the relations of PPM, PMP and MPP; the first nearest zero wins
+    relations = [abs(sa + sb - sc), abs(sa - sb + sc), abs(-sa + sb + sc)]
+    i = relations.index(min(relations))
+    pattern = (SignPattern.PPM, SignPattern.PMP, SignPattern.MPP)[i]
+    return pattern, np.array([0.0, sa, sa + sb if i == 0 else sa - sb])
 
 
 def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolution]:
@@ -260,7 +261,7 @@ def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolutio
     candidates = []
     for s in uniq:
         y = [p + s * q for p, q in zip(b, t)]
-        resid = [sum(r * c for r, c in zip(row, y)) for row in rows]  # every F_i / scale^4
+        resid = [sum(map(operator.mul, row, y)) for row in rows]  # every F_i / scale^4
         candidates.append((math.hypot(*resid), max(map(abs, resid)), y[:3]))
     if len(observations) > 3:
         candidates = sorted(candidates)[:1]
@@ -304,8 +305,11 @@ def recover_motions_consistent(
     """
     if len(observations) != len(solution.frames):
         raise InputError(f"{len(observations)} observations for {len(solution.frames)} frames")
-    base, *rest = (posed_triple(o, f.depths) for o, f in zip(observations, solution.frames))
-    fits = best_fit_motions(base, np.array(rest).reshape(-1, 3, 3))
+    rows = zip(observations, (f.depths.tolist() for f in solution.frames))
+    posed = np.array(  # every frame's posed_triple, in one call
+        [[[*o.p.tolist(), d[0]], [*o.q.tolist(), d[1]], [*o.r.tolist(), d[2]]] for o, d in rows]
+    )
+    fits = best_fit_motions(posed[0], posed[1:])
     return [(RigidMotion.identity(), 0.0, False)] + [(m, e, False) for m, e in fits]
 
 
@@ -319,4 +323,4 @@ def observations_from_dataset(dataset, labels=None) -> list[TriangleFrameObs]:
         if lab not in dataset.labels:
             raise InputError(f"label {lab!r} missing from the dataset")
     rows = dataset.points[:, [dataset.labels.index(lab) for lab in labels]]
-    return [TriangleFrameObs.from_points(p, q, r) for p, q, r in rows]
+    return [TriangleFrameObs(p, q, r) for p, q, r in rows]  # rows of a float array

@@ -19,11 +19,13 @@ point) so the distinguished point lies on the optical axis; the recorded
 rotations invert the recalculation afterwards.
 
 Every step runs on ``(n, 3)`` bearing arrays, rows in the dataset's label
-order, from the moment a frame is read: one rotation product per
-frame normalizes, one ``einsum`` builds the stacked system, one batched
-SVD of the ``(n, 3, 2)`` depth systems votes on a candidate, and the
-denormalized depths, structure and residuals are computed as arrays.
-Label-keyed dicts are built only for the returned values.
+order: one rotation product per frame normalizes, one ``einsum`` builds the
+stacked system, and each candidate's vote fills one ``(n, 3, 2)`` array of
+depth systems, whose one batched SVD solves every row before the singular
+ones are masked.  A pure rotation (zero baseline) is reported, not solved;
+its fit runs only when no bearing dot product changes between the frames by
+more than a rotation allows (:func:`_parallax_gap`).  Label-keyed dicts are
+built only for the returned values.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .geometry import Rotation, _det3, _norm, cross
 # values s0 >= s1 >= s2 is essential when (s0 - s1) / s0 and s2 / s0 stay within it
 ESSENTIAL_STRUCTURE = 1e-6
 DEPTH_SINGULAR = 1e-9  # s1 / s0 of a point's depth system: below it, on the baseline
+PARALLAX = 3e-7  # a change in bearing dot products that no pure rotation makes
+_W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # a quarter turn about z
 
 NINE_POINT_MESSAGE = (
     "nine correspondences are required to solve the composite matrix linearly "
@@ -119,7 +123,7 @@ def normalize_distinguished(
     d = labels.index(distinguished)
     rot1, rot2 = _axis_rotation(b1[d]), _axis_rotation(b2[d])
     m1, m2 = b1 @ rot1.matrix.T, b2 @ rot2.matrix.T
-    behind = (m1[:, 2] <= 1e-12) | (m2[:, 2] <= 1e-12)
+    behind = np.fmin(m1[:, 2], m2[:, 2]) <= 1e-12
     if behind.any():
         raise InputError(
             f"label {labels[int(behind.argmax())]!r} leaves the field of view when recalculated"
@@ -154,12 +158,13 @@ def solve_composite(
         raise InputError(NINE_POINT_MESSAGE)
     rows = np.einsum("ni,nj->nij", bearing(corr2), bearing(corr1)).reshape(n, 9)
     _, s, vt = np.linalg.svd(rows)
+    s = s.tolist()
     if s[7] <= 1e-10 * s[0]:
         raise RankDeficientError("correspondence system has rank below 8")
     e = vt[-1].reshape(3, 3)
-    e /= np.linalg.norm(e)
-    s_min = float(s[8]) if n >= 9 else 0.0
-    return e, s_min, float(s_min / s[0]) if s[0] > 0 else 0.0
+    e /= _norm(vt[-1])
+    s_min = s[8] if n >= 9 else 0.0
+    return e, s_min, s_min / s[0] if s[0] > 0 else 0.0
 
 
 def decompose(
@@ -173,21 +178,21 @@ def decompose(
     """
     e = np.asarray(e, dtype=float)
     u, s, vt = np.linalg.svd(e)
-    if s[0] <= 0:
+    s0, s1, s2 = s.tolist()
+    if s0 <= 0:
         raise NotEssentialError("composite matrix is zero")
-    if (s[0] - s[1]) / s[0] > structure_tol or s[2] / s[0] > structure_tol:
+    if (s0 - s1) / s0 > structure_tol or s2 / s0 > structure_tol:
         raise NotEssentialError(
             "singular values %.3e, %.3e, %.3e break the essential structure (tolerance %.2e);"
-            " correspondences are inconsistent" % (*s, structure_tol)
+            " correspondences are inconsistent" % (s0, s1, s2, structure_tol)
         )
     if _det3(u.tolist()) < 0:
         u = -u
     if _det3(vt.tolist()) < 0:
         vt = -vt
-    w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     t = u[:, 2]
     candidates = []
-    for rot_mat in (u @ w @ vt, u @ w.T @ vt):
+    for rot_mat in (u @ _W @ vt, u @ _W.T @ vt):
         rot = Rotation(rot_mat)
         for sign in (1.0, -1.0):
             candidates.append((rot, sign * t))
@@ -212,20 +217,23 @@ def recover_depths(
     """Solve the per-point 3-equation depth systems by linear elimination.
 
     Z1 * (A m1) - Z2 * m2 = -t per point; points whose system is singular
-    (on the baseline) are excluded from the vote.  The candidate is
-    accepted iff every included point has Z1 > 0 and Z2 > 0.  One batched
-    SVD of the ``(n, 3, 2)`` systems gives both the singular-value test and
-    the least-squares depths ``V diag(1/s) U^T (-t)``.
+    (on the baseline) are excluded from the vote.  The candidate is accepted
+    iff every included point has Z1 > 0 and Z2 > 0 (NaN is neither).  One
+    batched SVD of the ``(n, 3, 2)`` systems, filled in place, gives both the
+    singular-value test and every row's depths ``V diag(1/s) U^T (-t)``.
     """
-    n = len(corr1)
-    mats = np.stack([bearing(corr1) @ rotation.matrix.T, -bearing(corr2)], axis=-1)
+    mats = np.empty((len(corr1), 3, 2))
+    mats[:, :, 0] = bearing(corr1) @ rotation.matrix.T
+    np.negative(corr2, out=mats[:, :2, 1])
+    mats[:, 2, 1] = -1.0
     u, s, vt = np.linalg.svd(mats, full_matrices=False)
     solvable = s[:, 1] > DEPTH_SINGULAR * s[:, 0]
-    coeffs = np.einsum("nji,j->ni", u[solvable], -translation)
-    depths = np.full((n, 2), np.nan)
-    depths[solvable] = np.einsum("nji,nj->ni", vt[solvable], coeffs / s[solvable])
-    accepted = bool(solvable.any()) and not (depths[solvable] <= 0).any()
-    return DepthVote(depths, np.flatnonzero(~solvable).tolist(), accepted)
+    with np.errstate(all="ignore"):  # the singular rows, masked below
+        depths = np.einsum("nji,nj->ni", vt, np.einsum("nji,j->ni", u, -translation) / s)
+    excluded = np.flatnonzero(~solvable)
+    depths[excluded] = np.nan
+    accepted = len(excluded) < len(depths) and bool((depths > 0).all(where=solvable[:, None]))
+    return DepthVote(depths, excluded.tolist(), accepted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,6 +271,21 @@ def _pure_rotation_fit(b1: np.ndarray, b2: np.ndarray) -> tuple[Rotation, float]
     return rot, float(np.max(np.arccos(dots)))
 
 
+def _parallax_gap(points: np.ndarray) -> float:
+    """Largest change between two frames' ``(2, n, 2)`` image points in the cosine of a
+    bearing's angle to the first point's: the pairs (0, i), never the n x n Gram matrix.
+
+    A rotation R keeps dot products.  With unit bearings g1_i, g2_i and theta_i the
+    angle from R g1_i to g2_i, |g2_i.g2_j - g1_i.g1_j| <= theta_i + theta_j for every R,
+    as each bearing moves a dot product by at most its chord.  A gap above PARALLAX
+    so leaves an angle above 1.5e-7 whatever R, which :func:`_pure_rotation_fit`
+    reads to about 3e-9 (its dot products round at 1e-16): above its 1e-7 gate.
+    """
+    sq = np.einsum("fni,fni->fn", points, points) + 1.0  # bearings (u, v, 1)
+    cos = (np.einsum("fni,fi->fn", points, points[:, 0]) + 1.0) / np.sqrt(sq * sq[:, :1])
+    return np.abs(cos[1] - cos[0]).max()
+
+
 def two_frame_reconstruct(
     dataset,
     *,
@@ -283,23 +306,17 @@ def two_frame_reconstruct(
     uv1, uv2 = dataset.points[0], dataset.points[1]
 
     # zero-baseline scripts reduce to a pure rotation of the bearings; depths
-    # are unrecoverable there, so report the rotation and flag the baseline
-    rot_fit, resid = _pure_rotation_fit(bearing(uv1), bearing(uv2))
-    # resid is an angle from arccos of a dot product.  One or two ulps below 1
-    # read as 1.5e-8 to 3e-8 rad, so an exact pure rotation lands there; 1e-7
-    # clears that by three times and calls any smaller parallax zero baseline
-    if resid < 1e-7:
-        return MotionEstimate(
-            rotation=rot_fit,
-            translation=None,
-            translation_scaled=None,
-            depths={},
-            points3d={},
-            distinguished=distinguished,
-            baseline_degenerate=True,
-            candidates_tried=0,
-            survivors=0,
-        )
+    # are unrecoverable there, so report the rotation and flag the baseline.
+    # The fit runs only where the bearings' dot products do not prove parallax
+    if not _parallax_gap(dataset.points) > PARALLAX:  # NaN, from overflow, runs the fit
+        rot_fit, resid = _pure_rotation_fit(bearing(uv1), bearing(uv2))
+        # resid is an angle from arccos of a dot product.  One or two ulps below 1
+        # read as 1.5e-8 to 3e-8 rad, so an exact pure rotation lands there; 1e-7
+        # clears that by three times and calls any smaller parallax zero baseline
+        if resid < 1e-7:
+            return MotionEstimate(
+                rot_fit, None, None, {}, {}, distinguished, baseline_degenerate=True, survivors=0
+            )
 
     norm = normalize_distinguished(labels, uv1, uv2, distinguished)
     corr1, corr2 = norm.points1, norm.points2
@@ -309,35 +326,33 @@ def two_frame_reconstruct(
     votes = [recover_depths(a, t, corr1, corr2) for a, t in candidates]
     winners = [i for i, v in enumerate(votes) if v.accepted]
     if len(winners) != 1:
-        raise AmbiguityError(
-            f"chirality vote left {len(winners)} of {len(candidates)} candidates"
-        )
+        raise AmbiguityError(f"chirality vote left {len(winners)} of {len(candidates)} candidates")
     a_norm, t_norm = candidates[winners[0]]
     vote = votes[winners[0]]
 
     z_dist = vote.depths[labels.index(distinguished), 0]
-    if not np.isfinite(z_dist) or z_dist <= 0:
+    if not (math.isfinite(z_dist) and z_dist > 0):
         raise AmbiguityError("distinguished point depth is unrecoverable")
     scale = 1.0 / z_dist
-    kept = np.delete(np.arange(len(labels)), vote.excluded)
-    names = np.array(labels, dtype=object)
+    excluded = set(vote.excluded)
+    kept = [i for i in range(len(labels)) if i not in excluded]
     z = vote.depths[kept] * scale
-    m1, m2 = bearing(corr1[kept]), bearing(corr2[kept])
+    m1, m2 = m = bearing(np.array((corr1, corr2))[:, kept])  # both frames' kept bearings
     points3d = (z[:, :1] * m1) @ norm.rot1.matrix  # rows R1^T (Z1 m1)
-    residuals = np.abs(np.einsum("ni,ij,nj->n", m2, e, m1)) / (
-        np.linalg.norm(m1, axis=1) * np.linalg.norm(m2, axis=1)
-    )
+    lengths = np.sqrt(np.add.reduce(m * m, axis=2))  # as np.linalg.norm computes them
+    residuals = np.abs(np.einsum("ni,ij,nj->n", m2, e, m1)) / (lengths[0] * lengths[1])
 
     r2t = norm.rot2.matrix.T
     t_orig = r2t @ t_norm
+    names = [labels[i] for i in kept]
     return MotionEstimate(
         rotation=Rotation(r2t @ a_norm.matrix @ norm.rot1.matrix),
         translation=t_orig,
         translation_scaled=t_orig * scale,
-        depths=dict(zip(names[kept], map(tuple, z.tolist()))),
-        points3d=dict(zip(names[kept], points3d)),
+        depths=dict(zip(names, map(tuple, z.tolist()))),
+        points3d=dict(zip(names, points3d)),
         distinguished=distinguished,
-        excluded_labels=names[vote.excluded].tolist(),
+        excluded_labels=[labels[i] for i in vote.excluded],
         candidates_tried=len(candidates),
         survivors=1,
         max_constraint_residual=float(residuals.max(initial=0.0)),

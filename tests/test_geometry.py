@@ -465,6 +465,20 @@ class TestBestFit:
         with pytest.raises(InputError, match="collinear"):
             best_fit_motion(spot, spot)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_non_finite_points_rejected_before_the_svd(self, bad, side):
+        # RuntimeWarnings are errors under the test settings, so this also checks
+        # that no arithmetic runs on the bad point
+        tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        src, dst = tri.copy(), tri.copy()
+        (src if side == "src" else dst)[1, 2] = bad
+        for fit in (best_fit_motion, best_fit_rotation):
+            with pytest.raises(InputError, match="finite"):
+                fit(src, dst)
+        with pytest.raises(InputError, match="finite"):
+            best_fit_motions(src, np.array([tri, dst]))
+
     def test_two_dimensional_points_rejected(self):
         src = np.array([[0.0, 0], [1, 0], [0, 1]])
         with pytest.raises(InputError):

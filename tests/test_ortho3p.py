@@ -77,6 +77,20 @@ class TestEdgeLengths:
         with pytest.raises(InputError, match="finite"):
             edge_lengths(vec2(0, 0), vec2(1, 0), vec2(0, bad))
 
+    @pytest.mark.parametrize("far", [1e200, 1e155, 1.0e154])
+    def test_overflowing_square_rejected(self, far):
+        # edge_lengths itself is finite; the squares are not
+        assert np.isfinite(edge_lengths([0, 0], [far, 0], [0, far])).all()
+        with pytest.raises(InputError, match="overflow"):
+            TriangleFrameObs.from_points([0, 0], [far, 0], [0, far])
+
+    def test_edges_squaring_to_zero_are_rank_deficient(self):
+        shapes = [[[0, 0], [1, 0], [0, 1]], [[0, 0], [0.9, 0], [0, 1]], [[0, 0], [1, 0], [0.3, 1]]]
+        obs = [TriangleFrameObs.from_points(*shape) for shape in 1e-200 * np.array(shapes)]
+        assert all(o.lengths_sq == (0.0, 0.0, 0.0) for o in obs)
+        with pytest.raises(RankDeficientError):
+            solve_triangle(obs)
+
     @pytest.mark.parametrize("p", [vec3(0, 0, 0), [0.0], 0.0, [[0.0, 0.0]]])
     def test_points_other_than_2_vectors_rejected(self, p):
         with pytest.raises(InputError, match="2-vectors"):

@@ -7,9 +7,13 @@ from hypothesis.extra.numpy import arrays
 from multiframe.dof import Regime
 from multiframe.errors import AmbiguityError, InputError, NotEssentialError, RankDeficientError
 from multiframe.geometry import Rotation, vec3
+import multiframe.persp2f as persp2f
 from multiframe.persp2f import (
     DEPTH_SINGULAR,
+    PARALLAX,
     DepthVote,
+    _parallax_gap,
+    _pure_rotation_fit,
     bearing,
     decompose,
     elimination_constraint,
@@ -270,6 +274,14 @@ class TestRecoverDepths:
         vote = recover_depths(rot, t, c1, c2)
         assert 0 in vote.excluded
 
+    def test_nan_depth_not_accepted(self):
+        # a NaN passes "no depth <= 0"; acceptance asks for every depth > 0
+        t = np.array([np.nan, 0.0, 1.0])
+        vote = recover_depths(Rotation.identity(), t, [np.zeros(2)], [np.ones(2)])
+        assert vote.excluded == []
+        assert np.isnan(vote.depths).all()
+        assert not vote.accepted
+
 
 def reference_depths(rotation, translation, corr1, corr2):
     """Per-point depth vote: one svd and one lstsq for each correspondence."""
@@ -427,3 +439,65 @@ class TestTwoFrameReconstruct:
         ds = make_scene(42)
         est = two_frame_reconstruct(ds)
         assert est.max_constraint_residual < 1e-6
+
+
+def pure_rotation_pair(seed, n, angle, delta, j):
+    """Two frames' ``(2, n, 2)`` images of points rotated about the focal point by
+    ``angle``, the bearing of point ``j`` in frame 2 then turned by ``delta`` rad."""
+    rng = np.random.default_rng(seed)
+    p = np.column_stack([rng.uniform(-2, 2, (n, 2)), rng.uniform(1, 3, n)])
+    axis = rng.normal(size=3)
+    q = p @ Rotation.from_axis_angle(axis / np.linalg.norm(axis), angle).matrix.T
+    off = np.cross(q[j], rng.normal(size=3))  # an axis perpendicular to the bearing
+    q[j] = Rotation.from_axis_angle(off / np.linalg.norm(off), delta).apply(q[j])
+    return np.array([p[:, :2] / p[:, 2:], q[:, :2] / q[:, 2:]])
+
+
+class TestParallaxBound:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        angle=st.floats(-0.3, 0.3),
+        delta=st.floats(0.0, 1e-6),
+        j=st.integers(0, 11),
+    )
+    def test_skipped_fit_would_miss_its_gate(self, seed, n, angle, delta, j):
+        points = pure_rotation_pair(seed, n, angle, delta, j % n)
+        if _parallax_gap(points) > PARALLAX:
+            _, resid = _pure_rotation_fit(bearing(points[0]), bearing(points[1]))
+            assert resid >= 1e-7
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6, 1e-4, 1e-2])
+    def test_forced_fit_changes_no_estimate(self, monkeypatch, sigma):
+        scenes = [make_scene(seed) for seed in (51, 52, 53)]
+        # the scene of test_identity_motion_flags_degenerate_baseline
+        cloud = random_cloud_scene(31, n_points=10, center=(0, 0, 3))
+        still = MotionScript(motions=[RigidMotion.identity()] * 2)
+        scenes.append(render(cloud, still, Regime.PERSPECTIVE_CALIBRATED))
+        for i, ds in enumerate(scenes):
+            ds = add_noise(ds, NoiseSpec(sigma, seed=i))
+            outcomes = []
+            for bound in (PARALLAX, np.inf):  # an infinite bound decides nothing
+                monkeypatch.setattr(persp2f, "PARALLAX", bound)
+                try:
+                    outcomes.append(estimate_bits(two_frame_reconstruct(ds)))
+                except (AmbiguityError, NotEssentialError, RankDeficientError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1]
+
+
+def estimate_bits(est):
+    """Every field of a MotionEstimate, arrays as their bytes."""
+    def bits(v):
+        if isinstance(v, np.ndarray):
+            return v.shape, v.tobytes()
+        if isinstance(v, Rotation):
+            return bits(v.matrix)
+        if isinstance(v, dict):
+            return [(k, bits(x)) for k, x in v.items()]
+        if isinstance(v, float):
+            return np.float64(v).tobytes()
+        return v
+
+    return {k: bits(v) for k, v in vars(est).items()}
