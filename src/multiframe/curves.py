@@ -36,6 +36,11 @@ is :data:`TRANSFER_BAND` times the image scale, ``tangency`` is
 A sample is flagged, not lifted, when its line is degenerate, its match is
 tangent, or its two viewing rays are parallel.  The segment table of curve
 2 is built once per lift, and the matches are triangulated in one batch.
+A lift builds one ray set for curve 1: its lines come from it, and its kept
+rows are the first rays of the triangulation.  Under a perspective camera
+every ray starts at the focal point, so the origins are one ``(1, 3)`` row
+that broadcasts, for the projected origin (the epipole), its offset from
+the second focal point and the triangulation's baseline alike.
 
 Steps 1 and 2 run only on candidate pairs, with the table formulas, so
 the hits are those of the full table.  All lines of a lift belong to one
@@ -70,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry, InputError
-from .geometry import RAY_PARALLEL, CameraPose, cross, projection_matrix, rays_through
+from .geometry import RAY_PARALLEL, CameraPose, _rays, _row_norms, cross, projection_matrix
 # triangulate_midpoint is kept in this namespace: perfbench traces it here
 from .geometry import triangulate_midpoint, triangulate_midpoints  # noqa: F401
 
@@ -91,7 +96,9 @@ class ImageCurve:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
             raise InputError("curve needs >= 2 image samples")
-        if np.any(np.linalg.norm(np.diff(s, axis=0), axis=1) == 0.0):
+        # by the step's norm, not its entries: _segments divides by the norm,
+        # which is 0 for a step whose square underflows
+        if not _row_norms(s[1:] - s[:-1]).all():
             raise InputError("consecutive curve samples must be distinct")
         object.__setattr__(self, "samples", s)
 
@@ -151,10 +158,27 @@ def epipolar_lines(
     orthography the ray runs along the viewing direction) or where the ray
     runs parallel to the second focal plane behind it.  Masked rows are NaN.
     """
-    origins, dirs = rays_through(samples, pose1)
+    points, directions, degenerate = _transfer_lines(*_rays(samples, pose1), pose2)
+    points[degenerate] = np.nan
+    directions[degenerate] = np.nan
+    return points, directions, degenerate
+
+
+_FLIP = np.array([1.0, -1.0])
+
+
+def _transfer_lines(
+    origins, dirs, pose2: CameraPose
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`epipolar_lines` of rays, without NaN in the degenerate rows.
+
+    ``origins`` is ``(n, 3)``, or one ``(1, 3)`` row when every ray starts at
+    a perspective pose's focal point.
+    """
     proj = projection_matrix(pose2)
-    a = origins @ proj[:, :3].T + proj[:, 3]
-    b = dirs @ proj[:, :3].T
+    m = proj[:, :3].T
+    a = origins @ m + proj[:, 3]
+    b = dirs @ m
     lines = cross(a, b)
     normal = np.hypot(lines[:, 0], lines[:, 1])
     if pose2.is_orthographic:
@@ -162,16 +186,15 @@ def epipolar_lines(
     else:
         w = pose2.focal - origins
         wd = np.einsum("ij,ij->i", w, dirs)
-        off = np.linalg.norm(w - wd[:, None] * dirs, axis=1)
-        on_ray = off < RAY_PARALLEL * np.maximum(1.0, np.linalg.norm(w, axis=1))
+        off = _row_norms(w - wd[:, None] * dirs)
+        on_ray = off < RAY_PARALLEL * np.maximum(1.0, _row_norms(w))
         # the last projector row gives depths: a[:, 2] of the origin, b[:, 2] along the ray
         behind = (np.abs(b[:, 2]) < 1e-14) & (a[:, 2] <= 0)
         degenerate = on_ray | behind
     with np.errstate(divide="ignore", invalid="ignore"):
         points = -lines[:, 2:] * lines[:, :2] / (normal**2)[:, None]
-        directions = np.stack([lines[:, 1], -lines[:, 0]], axis=1) / normal[:, None]
-    points[degenerate] = np.nan
-    directions[degenerate] = np.nan
+        # (l1, -l0) / |(l0, l1)|
+        directions = lines[:, 1::-1] * _FLIP / normal[:, None]
     return points, directions, degenerate
 
 
@@ -201,10 +224,13 @@ class _Segments:
 
 def _segments(curve: ImageCurve, band: float) -> _Segments:
     s = curve.samples
-    vec = np.diff(s, axis=0)
-    length = np.linalg.norm(vec, axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(length[:-1])])
-    return _Segments(s[:-1], vec, length, arc, -band / length, 1.0 + band / length, band)
+    vec = s[1:] - s[:-1]
+    length = _row_norms(vec)
+    arc = np.empty(len(length))
+    arc[0] = 0.0
+    np.cumsum(length[:-1], out=arc[1:])
+    r = band / length
+    return _Segments(s[:-1], vec, length, arc, -r, 1.0 + r, band)
 
 
 # segment codes of a row without a match
@@ -253,7 +279,8 @@ def _candidates(table: _Segments, points, directions) -> tuple[np.ndarray, np.nd
         first = key.searchsorted(lo)
         stop = key.searchsorted(hi, "right") + key.searchsorted(hi - np.pi, "right")
         whole = hi - lo >= np.pi
-        first[whole], stop[whole] = 0, n
+        if whole.any():
+            first[whole], stop[whole] = 0, n
     count = stop - first
     seg = np.arange(m).repeat(count)
     at = np.arange(len(seg)) + (first + count - count.cumsum())[seg]
@@ -271,21 +298,21 @@ def _match(
     """
     n, band = len(points), table.band
     line, seg = _candidates(table, points, directions)
-    dx, dy, length = directions[:, 0][line], directions[:, 1][line], table.length[seg]
+    p, d, a, v = points[line], directions[line], table.start[seg], table.vec[seg]
+    dx, dy, length = d[:, 0], d[:, 1], table.length[seg]
     # signed distance of each first vertex: differences first, as they are
     # exact for nearby points
-    offset = (table.start[:, 0][seg] - points[:, 0][line]) * dy - (
-        table.start[:, 1][seg] - points[:, 1][line]
-    ) * dx
-    denom = table.vec[:, 0][seg] * dy - table.vec[:, 1][seg] * dx  # cross(segment, direction)
+    diff = a - p
+    offset = diff[:, 0] * dy - diff[:, 1] * dx
+    denom = v[:, 0] * dy - v[:, 1] * dx  # cross(segment, direction)
     sin_angle = np.abs(denom) / length
     parallel = sin_angle < TANGENCY
     # a parallel segment's weight is not used: it may be undefined or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = -offset / denom
-    crossing = (w >= table.lo[seg]) & (w <= table.hi[seg]) & ~parallel
     # a parallel segment is a hit only when it rides on the line
-    hits = (crossing | (parallel & (np.abs(offset) <= band))).nonzero()[0]
+    crossing = (w >= table.lo[seg]) & (w <= table.hi[seg])
+    hits = np.where(parallel, np.abs(offset) <= band, crossing).nonzero()[0]
     clamped = np.clip(w, 0.0, 1.0)
     clamped[parallel] = 0.0
     pos = table.arc[seg] + clamped * length
@@ -294,17 +321,22 @@ def _match(
     hits = hits[line[hits].argsort(kind="stable")]
     first = line[hits].searchsorted(np.arange(n + 1)).tolist()
     hit_pos = pos[hits].tolist()
-    chosen, prev = [_MISSED] * n, prev_pos
-    for r, (h0, h1) in enumerate(zip(first, first[1:])):
-        chosen[r] = _MISSED if h0 == h1 else _BEHIND
-        kept = -np.inf
-        for h in range(h0, h1):
+    chosen, floor = [_MISSED] * n, prev_pos - band
+    for r, h0, h1 in zip(range(n), first, first[1:]):
+        if h0 == h1:
+            continue
+        kept = hit_pos[h0]  # the first hit is kept
+        if kept >= floor:
+            chosen[r], floor = h0, kept - band
+            continue
+        chosen[r] = _BEHIND
+        for h in range(h0 + 1, h1):
             # hits within ``band`` of the last kept one are duplicates
             if hit_pos[h] - kept <= band:
                 continue
             kept = hit_pos[h]
-            if kept >= prev - band:
-                chosen[r], prev = h, kept
+            if kept >= floor:
+                chosen[r], floor = h, kept - band
                 break
     segment = np.array(chosen, dtype=int)
     weight, arc_pos, tangent = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
@@ -353,23 +385,24 @@ def lift_curve(
         and curve1.endpoint_labels == tuple(reversed(curve2.endpoint_labels))
     ):
         curve2 = curve2.reversed()
-    scale = max(
-        float(np.max(np.abs(curve1.samples))), float(np.max(np.abs(curve2.samples))), 1e-12
-    )
+    s1 = curve1.samples
+    scale = max(float(np.abs(s1).max()), float(np.abs(curve2.samples).max()), 1e-12)
     table = _segments(curve2, TRANSFER_BAND * scale)
-    points, directions, degenerate = epipolar_lines(curve1.samples, pose1, pose2)
+    # one ray set: the lines are built from it, and its kept rows are triangulated
+    origins1, dirs1 = _rays(s1, pose1)
+    points, directions, degenerate = _transfer_lines(origins1, dirs1, pose2)
     live = (~degenerate).nonzero()[0]
     segment, weight, _, tangent = _match(table, points[live], directions[live], 0.0)
     matched = segment >= 0
     lifted = matched & ~tangent
     kept_at = live[lifted]
     j = segment[lifted]
-    matches2 = table.start[j] + weight[lifted, None] * table.vec[j]
-    p3, gaps, parallel = triangulate_midpoints(
-        *rays_through(curve1.samples[kept_at], pose1), *rays_through(matches2, pose2)
-    )
-    flagged = degenerate.copy()
-    flagged[live[matched & tangent]] = True
+    matches2 = table.start[j] + weight[lifted][:, None] * table.vec[j]
+    if pose1.is_orthographic:
+        origins1 = origins1[kept_at]
+    p3, gaps, parallel = triangulate_midpoints(origins1, dirs1[kept_at], *_rays(matches2, pose2))
+    flagged = degenerate  # set in place: the mask is not read again
+    flagged[live[tangent]] = True  # only matched rows are tangent
     flagged[kept_at[parallel]] = True
     good = ~parallel
     return SpaceCurve(

@@ -46,6 +46,7 @@ and one nested deeper is refused before either parser sees it.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -281,16 +282,34 @@ def _parse_vec(v, dim: int, where: str) -> np.ndarray:
     return arr
 
 
+# from about 20 rows of 2 or 3 entries on, np.fromiter converts a list of lists
+# faster than np.array, its type and length checks included; below, slower
+_FROMITER_ROWS = 24
+
+
 def _finite_rows(rows: list, *shape: int) -> np.ndarray | None:
     """``rows`` as one ``(len(rows), *shape)`` array of finite floats, or None if any fails.
 
-    ``[]`` gives shape ``(0,)``.  A caller that gets None walks the rows
+    ``[]`` gives shape ``(0,)``.  A list of at least ``_FROMITER_ROWS``
+    ``list`` rows, each of length ``dim`` (``shape == (dim,)``), is read
+    through ``np.fromiter``; any other list through ``np.array``.  A caller that gets None walks the rows
     through :func:`_parse_vec`, which names the first bad one: numpy and
-    float() parse entries alike, so that walk raises, and should some
-    entry parse under float() only, the walk's result is the answer.
+    float() parse entries alike, so that walk raises, and should some entry
+    parse under float() only, the walk's result is the answer.
     """
+    # a string of the row length would pass to np.fromiter as a row of characters
+    flat = (
+        len(rows) >= _FROMITER_ROWS
+        and len(shape) == 1
+        and set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {*shape}
+    )
     try:
-        arr = np.array(rows, dtype=float)
+        if flat:
+            arr = np.fromiter(chain.from_iterable(rows), float, len(rows) * shape[0])
+            arr = arr.reshape(len(rows), *shape)
+        else:
+            arr = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
     if (arr.shape == (len(rows), *shape) or not rows) and np.isfinite(arr).all():

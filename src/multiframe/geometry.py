@@ -26,9 +26,13 @@ are constants of the modules that use them (``ortho3p``, ``persp2f``,
 One fixed-size object, a 3-vector or a 3x3 matrix, is checked and combined
 on Python floats (``tolist()`` and ``math``): a numpy call costs 1 to 5 us
 whatever its size, several times the arithmetic on nine floats.  Batches of
-points, rays and matrices stay in numpy.  These checks are written so that a
-NaN fails them, ``not (err <= bound)``, and a pose, ray or motion takes only
-finite 3-vectors.
+points, rays and matrices stay in numpy, in as few calls as give the same
+bits: :func:`cross` is one gather per operand, one product and one
+difference, written row-major (``einsum`` rounds a column-major operand
+differently), and ``_row_norms`` sums the squares of 2 or 3 columns in
+``np.linalg.norm``'s order without its reduction over a short axis.  The
+fixed-size checks are written so that a NaN fails them, ``not (err <=
+bound)``, and a pose, ray or motion takes only finite 3-vectors.
 
 All functions are pure; values may be shared freely across threads.
 """
@@ -77,19 +81,38 @@ def _finite3(x, what: str) -> np.ndarray:
     return a
 
 
+# component i of a x b is a[i + 1] b[i + 2] - a[i + 2] b[i + 1], indices mod 3:
+# the three first products, then the three second ones
+_CROSS_A = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_B = np.array([2, 0, 1, 1, 2, 0])
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the last axis of ``(3,)`` or ``(n, 3)`` arrays.
 
     Equal to ``np.cross`` bit for bit (the same products, then the same
     differences), without its axis handling, which costs more than the
-    arithmetic on the few vectors a solver works on.
+    arithmetic on the few vectors a solver works on.  A batch is one gather
+    per operand, one product and one difference, written row-major.
     """
     if a.ndim == 1 and b.ndim == 1:
         (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
         return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    p = a[..., _CROSS_A] * b[..., _CROSS_B]
+    # gathers on the last axis come out column-major; a row-major result keeps
+    # later reductions (einsum) rounding as they do on np.cross's output
+    return np.subtract(p[..., :3], p[..., 3:], order="C")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` of rows of 2 or 3 entries, bit for bit: the same
+    squares summed in the same order, without its dispatch and its reduction over a
+    short axis, which costs more than the sums."""
+    sq = x * x
+    s = sq[..., 0] + sq[..., 1]
+    if x.shape[-1] == 3:
+        s += sq[..., 2]
+    return np.sqrt(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,10 +301,16 @@ def projection_matrix(pose: CameraPose) -> np.ndarray:
     if plane_d < 0:
         n = -n
         plane_d = -plane_d
-    # depth * image = m @ (p - f), with depth = n . (p - f)
+    # depth * image = m @ (p - f), with depth = n . (p - f); the rows
+    # plane_d * e + (off . e) * n, entry by entry on floats
     off = f - pose.origin
-    m = np.array([plane_d * u + (off @ u) * n, plane_d * v + (off @ v) * n, n])
-    return np.column_stack([m, -(m @ f)])
+    nn = n.tolist()
+    rows = [
+        [plane_d * a + s * b for a, b in zip(e.tolist(), nn)]
+        for e, s in ((u, float(off @ u)), (v, float(off @ v)))
+    ]
+    m = np.array([*rows, nn])
+    return np.concatenate((m, -(m @ f)[:, None]), axis=1)
 
 
 def project_points(points, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
@@ -316,13 +345,21 @@ def rays_through(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
     Orthographic: through the plane point along the plane normal (the
     focal point shifted to infinity).
     """
+    origins, directions = _rays(images, pose)
+    if not pose.is_orthographic:
+        origins = np.broadcast_to(origins, directions.shape)
+    return origins, directions
+
+
+def _rays(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rays_through`, with a perspective camera's origins as one ``(1, 3)`` row."""
     img = np.asarray(images, dtype=float).reshape(-1, 2)
     q = pose.origin + img[:, :1] * pose.basis_u + img[:, 1:] * pose.basis_v
     if pose.is_orthographic:
         n = pose.normal
-        return q, np.broadcast_to(n / np.linalg.norm(n), q.shape)
+        return q, np.broadcast_to(n / _norm(n), q.shape)
     d = q - pose.focal
-    return np.broadcast_to(pose.focal, q.shape), d / np.linalg.norm(d, axis=1, keepdims=True)
+    return pose.focal[None], d / _row_norms(d)[:, None]
 
 
 def ray_through(image: Vec2, pose: CameraPose) -> Ray:
@@ -337,10 +374,11 @@ def triangulate_midpoints(
     """Row-wise midpoints of the shortest segments joining two sets of rays.
 
     Rows of the ``(n, 3)`` arrays ``o1, d1`` and ``o2, d2`` are ray origins
-    and unit directions.  Returns ``(n, 3)`` midpoints, ``(n,)`` gaps (the
-    segment lengths, zero for intersecting rays) and an ``(n,)`` mask of
-    pairs parallel within :data:`RAY_PARALLEL` (sine of the angle), whose
-    midpoints and gaps are NaN.
+    and unit directions; an origin array may also be one ``(1, 3)`` row that
+    all its rays share, a perspective camera's focal point.  Returns ``(n,
+    3)`` midpoints, ``(n,)`` gaps (the segment lengths, zero for intersecting
+    rays) and an ``(n,)`` mask of pairs parallel within :data:`RAY_PARALLEL`
+    (sine of the angle), whose midpoints and gaps are NaN.
     """
     n = cross(d1, d2)
     n2 = np.einsum("ij,ij->i", n, n)
@@ -353,9 +391,10 @@ def triangulate_midpoints(
     p1 = o1 + t1[:, None] * d1
     p2 = o2 + t2[:, None] * d2
     mid = (p1 + p2) / 2.0
-    gap = np.linalg.norm(p1 - p2, axis=1)
-    mid[parallel] = np.nan
-    gap[parallel] = np.nan
+    gap = _row_norms(p1 - p2)
+    if parallel.any():
+        mid[parallel] = np.nan
+        gap[parallel] = np.nan
     return mid, gap, parallel
 
 

@@ -157,7 +157,9 @@ def solve_composite(
     if n < minimum:
         raise InputError(NINE_POINT_MESSAGE)
     rows = np.einsum("ni,nj->nij", bearing(corr2), bearing(corr1)).reshape(n, 9)
-    _, s, vt = np.linalg.svd(rows)
+    # thin unless fewer than 9 rows: only vt's last row is read, and with 8 rows a
+    # thin vt has only 8 (the full U would be n x n)
+    _, s, vt = np.linalg.svd(rows, full_matrices=n < 9)
     s = s.tolist()
     if s[7] <= 1e-10 * s[0]:
         raise RankDeficientError("correspondence system has rank below 8")

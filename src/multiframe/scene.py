@@ -320,15 +320,16 @@ def truth_poses(dataset: MultiframeDataset, frame_idx: int) -> CameraPose:
     t = dataset.truth
     if t is None or t.motions is None:
         raise InputError("dataset carries no motion truth")
-    pose = _pose_for_regime(dataset.regime)
-    inv = t.motions[frame_idx].inverse()
-    focal = None if pose.focal is None else inv.apply(pose.focal)
-    return CameraPose(
-        inv.apply(pose.origin),
-        inv.rotation.apply(pose.basis_u),
-        inv.rotation.apply(pose.basis_v),
-        focal,
-    )
+    motion = t.motions[frame_idx]
+    r = motion.rotation.matrix
+    # the inverse motion p -> R^T p + shift carries the canonical plane vectors,
+    # unit axes, to rows of R, the perspective plane origin (0, 0, 1) to row 2
+    # plus shift and the origin to shift.  + 0.0 turns a -0.0 of shift into
+    # 0.0, as adding R^T 0 does unless a column of R is all negative
+    shift = -(r.T @ motion.translation)
+    if dataset.regime is Regime.ORTHOGRAPHIC:
+        return CameraPose(shift + 0.0, r[0], r[1])
+    return CameraPose(r[2] + shift, r[0], r[1], shift + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +356,34 @@ def random_triangle_scene(seed: int, center=(0.0, 0.0, 0.0)) -> SceneSpec:
     return SceneSpec({"P": pts[0], "Q": pts[1], "R": pts[2]}, seed=seed)
 
 
+# separation of a cloud of n points: CLOUD_SPREAD * n^(-1/3), at most 0.15, so that
+# the points fill the same small share of the cube at every size; up to 101
+# points it is 0.15
+CLOUD_SPREAD = 0.7
+
+
 def random_cloud_scene(seed: int, n_points: int = 10, center=(0.0, 0.0, 3.0)) -> SceneSpec:
-    """Labeled point cloud in a unit ball around ``center``."""
+    """Labeled point cloud in the cube of half-width 1 around ``center``.
+
+    Uniform draws are kept when they lie farther than the separation from
+    every point kept before (the distance is the 1-D ``np.linalg.norm``'s,
+    one dot per row).
+    """
     rng = np.random.default_rng(seed)
     c = np.asarray(center, dtype=float)
-    pts = {}
-    i = 0
-    while len(pts) < n_points:
+    sep = min(0.15, CLOUD_SPREAD * n_points ** (-1 / 3))
+    pts = np.empty((n_points, 3))
+    k = 0
+    while k < n_points:
         p = c + rng.uniform(-1.0, 1.0, size=3)
-        if all(np.linalg.norm(p - q) > 0.15 for q in pts.values()):
-            pts[f"p{i:02d}"] = p
-            i += 1
-    labels = sorted(pts)
-    a, b, cc = (pts[l] for l in labels[:3])
-    if np.linalg.norm(np.cross(b - a, cc - a)) < 0.05:
+        d = pts[:k] - p
+        d = d[np.abs(d[:, 0]) <= 2 * sep]  # the others are farther along x alone
+        if (np.sqrt((d[:, None] @ d[:, :, None]).ravel()) > sep).all():
+            pts[k] = p
+            k += 1
+    if n_points >= 3 and np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
         return random_cloud_scene(seed + 100_003, n_points, center)
-    return SceneSpec(pts, seed=seed)
+    return SceneSpec({f"p{i:02d}": p for i, p in enumerate(pts)}, seed=seed)
 
 
 def random_arc_scene(seed: int, n_samples: int = 100, center=(0.0, 0.0, 3.0)) -> SceneSpec:

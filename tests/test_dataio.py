@@ -96,26 +96,53 @@ def parse_error(doc, literal=None) -> str:
     return parse_error_of(dumps(doc, literal))
 
 
+def padded(doc, path, length):
+    """``doc`` with the list at ``path`` padded to ``length`` rows by copies of its last."""
+    node = doc
+    for key in path:
+        node = node[key]
+    node.extend(copy.deepcopy(node[-1]) for _ in range(length - len(node)))
+    return doc
+
+
 class TestSampleErrors:
     """Each bad sample is named by its row, exactly as the row-by-row parser names it."""
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            (["x", 0.9], "non-numeric entry"),
-            ([None, 0.9], "non-numeric entry"),
-            ([[0.5], 0.9], "non-numeric entry"),
-            (None, "expected a 2-vector"),
-            ([0.5], "expected a 2-vector"),
-            ([0.5, 0.9, 1.0], "expected a 2-vector"),
-            ({"u": 0.5, "v": 0.9}, "expected a 2-vector"),
-            ([float("nan"), 0.9], "non-finite entry"),
-            ([float("inf"), 0.9], "non-finite entry"),
-            (["nan", 0.9], "non-finite entry"),
-        ],
-    )
+    BAD_2 = [
+        (["x", 0.9], "non-numeric entry"),
+        ([None, 0.9], "non-numeric entry"),
+        ([[0.5], 0.9], "non-numeric entry"),
+        (None, "expected a 2-vector"),
+        ([0.5], "expected a 2-vector"),
+        ([0.5, 0.9, 1.0], "expected a 2-vector"),
+        ({"u": 0.5, "v": 0.9}, "expected a 2-vector"),
+        ([float("nan"), 0.9], "non-finite entry"),
+        ([float("inf"), 0.9], "non-finite entry"),
+        (["nan", 0.9], "non-finite entry"),
+        # rows np.fromiter would read as two numbers or refuse: np.array and the walk name them
+        ("12", "expected a 2-vector"),
+        ({"1": 0.5, "2": 0.9}, "expected a 2-vector"),
+        ([[0.5, 0.9], 0.9], "non-numeric entry"),
+        ([0.5, [0.9]], "non-numeric entry"),
+    ]
+    BAD_3 = [
+        ([0.0, 1.0], "expected a 3-vector"),
+        ([0.0, 1.0, 2.0, 3.0], "expected a 3-vector"),
+        ([0.0, "y", 2.0], "non-numeric entry"),
+        ([0.0, 1.0, float("-inf")], "non-finite entry"),
+        ("123", "expected a 3-vector"),
+        ([0.0, [1.0], 2.0], "non-numeric entry"),
+    ]
+    LONG = 2 * dataio._FROMITER_ROWS  # a list np.fromiter converts when every row is good
+
+    @pytest.mark.parametrize("row, message", BAD_2)
     def test_bad_curve_sample(self, row, message):
         doc = edited((*SAMPLE, 3), row)
+        assert parse_error(doc) == f"frames[0].curves[0].samples[3]: {message}"
+
+    @pytest.mark.parametrize("row, message", BAD_2)
+    def test_bad_curve_sample_in_long_list(self, row, message):
+        doc = padded(edited((*SAMPLE, 3), row), SAMPLE, self.LONG)
         assert parse_error(doc) == f"frames[0].curves[0].samples[3]: {message}"
 
     def test_out_of_range_literal_is_non_finite(self):
@@ -127,17 +154,14 @@ class TestSampleErrors:
         doc["frames"][0]["curves"][0]["samples"][4] = [0.0]
         assert parse_error(doc) == "frames[0].curves[0].samples[1]: non-numeric entry"
 
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ([0.0, 1.0], "expected a 3-vector"),
-            ([0.0, 1.0, 2.0, 3.0], "expected a 3-vector"),
-            ([0.0, "y", 2.0], "non-numeric entry"),
-            ([0.0, 1.0, float("-inf")], "non-finite entry"),
-        ],
-    )
+    @pytest.mark.parametrize("row, message", BAD_3)
     def test_bad_truth_curve_sample(self, row, message):
         doc = edited((*SAMPLE3, 2), row)
+        assert parse_error(doc) == f"truth.curves3d[0].samples[2]: {message}"
+
+    @pytest.mark.parametrize("row, message", BAD_3)
+    def test_bad_truth_curve_sample_in_long_list(self, row, message):
+        doc = padded(edited((*SAMPLE3, 2), row), SAMPLE3, self.LONG)
         assert parse_error(doc) == f"truth.curves3d[0].samples[2]: {message}"
 
 
@@ -148,6 +172,8 @@ class TestLabeledPointErrors:
         (["x", 0.9], "non-numeric entry"),
         ([0.5], "expected a 2-vector"),
         ([float("nan"), 0.9], "non-finite entry"),
+        ("12", "expected a 2-vector"),
+        ([[0.5], 0.9], "non-numeric entry"),
     ]
 
     @pytest.mark.parametrize("value, message", BAD_2)
@@ -347,7 +373,11 @@ entries = st.one_of(
 
 
 def row_lists(dim):
-    return st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=30)
+    # lengths spread over both conversions: np.array below _FROMITER_ROWS, np.fromiter above
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    return st.integers(0, 2 * dataio._FROMITER_ROWS).flatmap(
+        lambda n: st.lists(row, min_size=n, max_size=n)
+    )
 
 
 def row_by_row(rows, dim):

@@ -16,6 +16,7 @@ from multiframe.geometry import (
     RigidMotion,
     Rotation,
     _norm,
+    _row_norms,
     best_fit_motion,
     best_fit_motions,
     best_fit_rotation,
@@ -209,7 +210,13 @@ class TestRotation:
 
 # magnitudes whose products and their differences stay finite
 coords = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
-vec_shapes = st.one_of(st.just((3,)), st.integers(0, 8).map(lambda n: (n, 3)))
+# pairs of operand shapes: single vectors, rows, and one row against many
+vec_shapes = st.one_of(
+    st.just(((3,), (3,))),
+    st.integers(0, 8).map(lambda n: ((n, 3), (n, 3))),
+    st.integers(1, 8).map(lambda n: ((1, 3), (n, 3))),
+    st.integers(1, 8).map(lambda n: ((n, 3), (1, 3))),
+)
 
 
 class TestNorm:
@@ -217,16 +224,25 @@ class TestNorm:
     def test_equals_numpy_norm(self, v):
         assert _norm(v) == np.linalg.norm(v)
 
+    @given(data=st.data(), n=st.integers(0, 8), k=st.sampled_from([2, 3]))
+    def test_row_norms_equal_numpy_norm(self, data, n, k):
+        x = data.draw(arrays(np.float64, (n, k), elements=coords))
+        assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        # a column-major operand, as gathers on the last axis give
+        assert _row_norms(x.T.copy().T).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
 
 class TestCross:
-    @given(data=st.data(), shape=vec_shapes)
-    def test_equals_numpy_cross(self, data, shape):
-        a = data.draw(arrays(np.float64, shape, elements=coords))
-        b = data.draw(arrays(np.float64, shape, elements=coords))
+    @given(data=st.data(), shapes=vec_shapes)
+    def test_equals_numpy_cross(self, data, shapes):
+        a = data.draw(arrays(np.float64, shapes[0], elements=coords))
+        b = data.draw(arrays(np.float64, shapes[1], elements=coords))
         got, want = cross(a, b), np.cross(a, b)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # signed zeros too
+        # row-major, so that a later einsum rounds as on np.cross's output
+        assert got.flags.c_contiguous
 
     def test_broadcast_view_rows(self):
         d = np.broadcast_to(vec3(0.0, 0.6, 0.8), (4, 3))

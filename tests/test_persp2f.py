@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -405,6 +407,17 @@ class TestTwoFrameReconstruct:
         est = two_frame_reconstruct(ds, allow_eight=True)
         rot_true, t_true = relative_truth_motion(ds)
         assert est.rotation.angle_to(rot_true) < 1e-6
+
+    def test_ten_thousand_points_stay_small(self):
+        # the composite SVD is thin: a full one holds an n x n U, 800 MB at this size
+        ds = make_scene(5, n_points=10_000)
+        tracemalloc.start()
+        try:
+            two_frame_reconstruct(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_regime_mismatch_rejected(self):
         from multiframe.scene import random_triangle_scene

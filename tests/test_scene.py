@@ -6,8 +6,9 @@ import pytest
 from multiframe.dataio import read_dataset, write_dataset
 from multiframe.dof import Regime
 from multiframe.errors import GenerationError, InputError, ParseError
-from multiframe.geometry import RigidMotion, Rotation, project, vec3
+from multiframe.geometry import CameraPose, RigidMotion, Rotation, project, vec3
 from multiframe.scene import (
+    CLOUD_SPREAD,
     CurveSpec,
     MotionScript,
     MultiframeDataset,
@@ -317,6 +318,28 @@ class TestValidation:
         assert warnings == [f"frame {ids[1]}: curve 'run' near epipolar tangency at sample 0"]
 
 
+class TestCloud:
+    def test_ten_thousand_points_return(self):
+        n = 10_000
+        scene = random_cloud_scene(3, n_points=n)
+        pts = np.array(list(scene.points.values()))
+        assert len(scene.points) == n and pts.shape == (n, 3)
+        assert np.all(np.abs(pts - (0.0, 0.0, 3.0)) <= 1.0)
+        # every pair is farther apart than the separation, which shrinks with n:
+        # neighbours in x order, offset by offset, while any lies within it in x
+        sep = min(0.15, CLOUD_SPREAD * n ** (-1 / 3))
+        pts = pts[pts[:, 0].argsort()]
+        for k in range(1, n):
+            d = pts[k:] - pts[:-k]
+            near = d[:, 0] <= sep
+            if not near.any():
+                break
+            assert np.all(np.linalg.norm(d[near], axis=1) > sep)
+
+    def test_separation_is_fixed_up_to_101_points(self):
+        assert CLOUD_SPREAD * 101 ** (-1 / 3) > 0.15 > CLOUD_SPREAD * 102 ** (-1 / 3)
+
+
 class TestSpecValidation:
     def test_collinear_first_three_labels_rejected(self):
         with pytest.raises(InputError, match="collinear"):
@@ -343,6 +366,29 @@ class TestSpecValidation:
             with pytest.raises(InputError) as info:
                 MultiframeDataset(ds.regime, ds.labels, ds.points, ds.frames, truth)
             assert str(info.value) == f"truth holds {len(motions)} motions for 3 frames"
+
+    @pytest.mark.parametrize("regime", [Regime.ORTHOGRAPHIC, Regime.PERSPECTIVE_CALIBRATED])
+    def test_truth_poses_are_canonical_poses_moved_back(self, regime):
+        # bit for bit the canonical pose carried by the inverse motion, point by point
+        canonical = (
+            CameraPose.canonical_orthographic()
+            if regime is Regime.ORTHOGRAPHIC
+            else CameraPose.canonical_perspective()
+        )
+        for seed in range(5):
+            ds = make_dataset(40 + seed, regime)
+            for i, motion in enumerate(ds.truth.motions):
+                inv = motion.inverse()
+                want = (
+                    inv.apply(canonical.origin),
+                    inv.rotation.apply(canonical.basis_u),
+                    inv.rotation.apply(canonical.basis_v),
+                    None if canonical.focal is None else inv.apply(canonical.focal),
+                )
+                pose = truth_poses(ds, i)
+                got = (pose.origin, pose.basis_u, pose.basis_v, pose.focal)
+                for g, w in zip(got, want):
+                    assert (g is None and w is None) or g.tobytes() == w.tobytes()
 
     def test_truth_poses_match_object_motion(self):
         # observing the moved object equals observing with the inverse-moved camera
