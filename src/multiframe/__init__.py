@@ -16,11 +16,8 @@ from .geometry import (
     RigidMotion,
     Rotation,
     best_fit_motion,
-    best_fit_rotation,
-    project,
     project_points,
     projection_matrix,
-    ray_through,
     rays_through,
     triangulate_midpoint,
     triangulate_midpoints,
@@ -37,15 +34,12 @@ __all__ = [
     "RigidMotion",
     "Rotation",
     "best_fit_motion",
-    "best_fit_rotation",
     "dof_orthographic",
     "dof_perspective_calibrated",
     "dof_uncalibrated",
     "dof_verdict",
-    "project",
     "project_points",
     "projection_matrix",
-    "ray_through",
     "rays_through",
     "triangulate_midpoint",
     "triangulate_midpoints",

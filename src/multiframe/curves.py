@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometry, InputError
-from .geometry import RAY_PARALLEL, CameraPose, _rays, _row_norms, cross, projection_matrix
+from .geometry import RAY_PARALLEL, CameraPose, _row_norms, cross, projection_matrix, rays_through
 # triangulate_midpoint is kept in this namespace: perfbench traces it here
 from .geometry import triangulate_midpoint, triangulate_midpoints  # noqa: F401
 
@@ -101,11 +101,6 @@ class ImageCurve:
         if not _row_norms(s[1:] - s[:-1]).all():
             raise InputError("consecutive curve samples must be distinct")
         object.__setattr__(self, "samples", s)
-
-    @property
-    def arc_positions(self) -> np.ndarray:
-        seg = np.linalg.norm(np.diff(self.samples, axis=0), axis=1)
-        return np.concatenate([[0.0], np.cumsum(seg)])
 
     def reversed(self) -> "ImageCurve":
         labels = None
@@ -158,7 +153,7 @@ def epipolar_lines(
     orthography the ray runs along the viewing direction) or where the ray
     runs parallel to the second focal plane behind it.  Masked rows are NaN.
     """
-    points, directions, degenerate = _transfer_lines(*_rays(samples, pose1), pose2)
+    points, directions, degenerate = _transfer_lines(*rays_through(samples, pose1), pose2)
     points[degenerate] = np.nan
     directions[degenerate] = np.nan
     return points, directions, degenerate
@@ -389,7 +384,7 @@ def lift_curve(
     scale = max(float(np.abs(s1).max()), float(np.abs(curve2.samples).max()), 1e-12)
     table = _segments(curve2, TRANSFER_BAND * scale)
     # one ray set: the lines are built from it, and its kept rows are triangulated
-    origins1, dirs1 = _rays(s1, pose1)
+    origins1, dirs1 = rays_through(s1, pose1)
     points, directions, degenerate = _transfer_lines(origins1, dirs1, pose2)
     live = (~degenerate).nonzero()[0]
     segment, weight, _, tangent = _match(table, points[live], directions[live], 0.0)
@@ -400,7 +395,8 @@ def lift_curve(
     matches2 = table.start[j] + weight[lifted][:, None] * table.vec[j]
     if pose1.is_orthographic:
         origins1 = origins1[kept_at]
-    p3, gaps, parallel = triangulate_midpoints(origins1, dirs1[kept_at], *_rays(matches2, pose2))
+    rays2 = rays_through(matches2, pose2)
+    p3, gaps, parallel = triangulate_midpoints(origins1, dirs1[kept_at], *rays2)
     flagged = degenerate  # set in place: the mask is not read again
     flagged[live[tangent]] = True  # only matched rows are tangent
     flagged[kept_at[parallel]] = True
@@ -417,6 +413,8 @@ def lift_curve(
 
 def curves_from_dataset(dataset, frame_a: int = 0, frame_b: int = 1):
     """Paired image curves of two frames, keyed by curve id."""
+    if max(frame_a, frame_b) >= dataset.n_frames:
+        raise InputError(f"frames {frame_a} and {frame_b} of {dataset.n_frames} cannot be paired")
     fa, fb = dataset.frames[frame_a], dataset.frames[frame_b]
     by_id = {c["id"]: c for c in fb.curves}
     out = {}

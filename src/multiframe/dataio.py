@@ -29,6 +29,8 @@ rotation matrix determinant is not +1``).  Entries are parsed as
 Every malformed input, and a ``perspective_uncalibrated`` regime, which no
 solver reads, raises :class:`ParseError` naming its location.  A frame
 ``id`` or noise ``seed`` must be integral: ``2.0`` and ``"2"`` read as 2.
+A curve ``id`` must be a string, and a curve's ``endpoints``, when present
+and non-empty, exactly two string labels.
 
 The document is decoded by ``orjson``, bytes as given.  Only a document it
 refuses is decoded again by the stdlib ``json``, which accepts the ``NaN``
@@ -209,10 +211,12 @@ def read_dataset(data: bytes | str) -> MultiframeDataset:
         curves = []
         for ci, rc in enumerate(_list(rf.get("curves") or [], f"{where}.curves")):
             cw = f"{where}.curves[{ci}]"
-            _object(rc, cw, "id", "samples")
-            entry = {"id": rc["id"], "samples": _parse_rows(rc["samples"], 2, f"{cw}.samples")}
+            entry = _curve(rc, 2, cw)
             if rc.get("endpoints"):
-                entry["endpoints"] = _list(rc["endpoints"], f"{cw}.endpoints")[:]
+                ends = _list(rc["endpoints"], f"{cw}.endpoints")
+                if len(ends) != 2 or not all(isinstance(e, str) for e in ends):
+                    raise ParseError(f"{cw}.endpoints: expected two labels")
+                entry["endpoints"] = ends[:]
             curves.append(entry)
         frames.append(FrameObs(_int(rf["id"], f"{where}.id"), curves))
     points = _finite_rows(rows, len(labels), 2)
@@ -253,6 +257,14 @@ def _list(v, where: str) -> list:
     if not isinstance(v, list):
         raise ParseError(f"{where}: expected a list")
     return v
+
+
+def _curve(rc, dim: int, where: str) -> dict:
+    """A curve object's string ``id`` and its ``samples`` as one ``(n, dim)`` array."""
+    _object(rc, where, "id", "samples")
+    if not isinstance(rc["id"], str):
+        raise ParseError(f"{where}.id: expected a string")
+    return {"id": rc["id"], "samples": _parse_rows(rc["samples"], dim, f"{where}.samples")}
 
 
 def _int(x, where: str) -> int:
@@ -350,13 +362,10 @@ def _parse_truth(raw, n_frames: int) -> TruthBlock:
         motions = _parse_motions(_list(raw["motions"], "truth.motions"), n_frames)
     curves3d = None
     if raw.get("curves3d"):
-        curves3d = []
-        for ci, rc in enumerate(_list(raw["curves3d"], "truth.curves3d")):
-            where = f"truth.curves3d[{ci}]"
-            _object(rc, where, "id", "samples")
-            curves3d.append(
-                {"id": rc["id"], "samples": _parse_rows(rc["samples"], 3, f"{where}.samples")}
-            )
+        curves3d = [
+            _curve(rc, 3, f"truth.curves3d[{ci}]")
+            for ci, rc in enumerate(_list(raw["curves3d"], "truth.curves3d"))
+        ]
     return TruthBlock(pts, motions, curves3d)
 
 

@@ -14,7 +14,8 @@ rescaling image coordinates at ingestion.
 Projection has one implementation, the 3x4 projector of
 :func:`projection_matrix`; an orthographic camera is the projective one
 whose last row is ``(0, 0, 0, 1)``.  :func:`project_points` images a batch
-of points with one product, and :func:`project` is its one-row call.
+of points with one product; :func:`rays_through` gives a perspective
+camera's ray origins as one ``(1, 3)`` row, the focal point, that broadcasts.
 
 Rounding bounds are module constants, each next to its unit:
 :data:`ROTATION_ORTHONORMAL` for rotation matrices and camera bases,
@@ -47,7 +48,6 @@ import numpy as np
 from .errors import DegenerateProjection, DegenerateTriangulation, InputError
 
 Vec3 = np.ndarray
-Vec2 = np.ndarray
 
 ROTATION_ORTHONORMAL = 1e-9  # absolute, on each entry of R^T R - I and on det R - 1
 UNIT_VECTOR = 1e-12  # absolute, on the norm of a unit vector less 1
@@ -56,10 +56,6 @@ RAY_PARALLEL = 1e-10  # sine of the angle between two rays
 
 def vec3(x, y, z) -> Vec3:
     return np.array([x, y, z], dtype=float)
-
-
-def vec2(u, v) -> Vec2:
-    return np.array([u, v], dtype=float)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -224,9 +220,6 @@ class Ray:
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "direction", d)
 
-    def point_at(self, t: float) -> Vec3:
-        return self.origin + t * self.direction
-
 
 @dataclass(frozen=True, eq=False)
 class CameraPose:
@@ -333,26 +326,13 @@ def project_points(points, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
     return x[:, :2] * (1.0 / depths)[:, None], depths
 
 
-def project(p: Vec3, pose: CameraPose) -> Vec2:
-    """Image of one point (see :func:`project_points`)."""
-    return project_points(p, pose)[0][0]
-
-
 def rays_through(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
-    """Viewing rays of ``(n, 2)`` image points: ``(n, 3)`` origins and unit directions.
+    """Viewing rays of ``(n, 2)`` image points: origins and ``(n, 3)`` unit directions.
 
-    Perspective: from the focal point through the plane point.
-    Orthographic: through the plane point along the plane normal (the
-    focal point shifted to infinity).
+    Perspective: from the focal point, one ``(1, 3)`` origin row that broadcasts,
+    through the plane point.  Orthographic: from the ``(n, 3)`` plane points along
+    the plane normal (the focal point shifted to infinity).
     """
-    origins, directions = _rays(images, pose)
-    if not pose.is_orthographic:
-        origins = np.broadcast_to(origins, directions.shape)
-    return origins, directions
-
-
-def _rays(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rays_through`, with a perspective camera's origins as one ``(1, 3)`` row."""
     img = np.asarray(images, dtype=float).reshape(-1, 2)
     q = pose.origin + img[:, :1] * pose.basis_u + img[:, 1:] * pose.basis_v
     if pose.is_orthographic:
@@ -360,12 +340,6 @@ def _rays(images, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
         return q, np.broadcast_to(n / _norm(n), q.shape)
     d = q - pose.focal
     return pose.focal[None], d / _row_norms(d)[:, None]
-
-
-def ray_through(image: Vec2, pose: CameraPose) -> Ray:
-    """Viewing ray of one image point (see :func:`rays_through`)."""
-    origins, directions = rays_through(image, pose)
-    return Ray(origins[0], directions[0])
 
 
 def triangulate_midpoints(
@@ -445,12 +419,6 @@ def best_fit_motions(src: np.ndarray, dst: np.ndarray) -> list[tuple[RigidMotion
     resid = np.sqrt(np.add.reduce((sc @ rot.transpose(0, 2, 1) - dc) ** 2, axis=(1, 2)))
     fits = zip(rot, d_mean - rot @ s_mean, (resid / math.sqrt(n)).tolist())
     return [(RigidMotion(Rotation(r), t), e) for r, t, e in fits]
-
-
-def best_fit_rotation(src: np.ndarray, dst: np.ndarray) -> tuple[Rotation, float]:
-    """Proper rotation aligning centered ``src`` onto centered ``dst``, and the RMS residual."""
-    motion, resid = best_fit_motions(src, np.asarray(dst, dtype=float)[None])[0]
-    return motion.rotation, resid
 
 
 def best_fit_motion(src: np.ndarray, dst: np.ndarray) -> tuple[RigidMotion, float]:

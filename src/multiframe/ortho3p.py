@@ -42,6 +42,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dof import Regime
 from .errors import (
     AmbiguityError,
     DegenerateGeometry,
@@ -50,7 +51,8 @@ from .errors import (
     NoSolutionError,
     RankDeficientError,
 )
-from .geometry import RigidMotion, best_fit_motion, best_fit_motions
+# best_fit_motion is kept in this namespace: perfbench traces it here
+from .geometry import RigidMotion, best_fit_motion, best_fit_motions  # noqa: F401
 
 # The root clamp, in powers of the scale, the longest observed edge: a true
 # squared length may fall this far below an observed one, or by a candidate's
@@ -139,8 +141,7 @@ def eq4_residual(a2: float, b2: float, c2: float, obs: TriangleFrameObs) -> floa
         raise InputError("squared lengths must be nonnegative")
     ai2, bi2, ci2 = obs.lengths_sq
     return (
-        a2 * a2 + b2 * b2 + c2 * c2
-        - 2 * a2 * b2 - 2 * a2 * c2 - 2 * b2 * c2
+        _block(a2, b2, c2)
         + _block(ai2, bi2, ci2)
         + 2 * (-ai2 + bi2 + ci2) * a2
         + 2 * (ai2 - bi2 + ci2) * b2
@@ -282,17 +283,6 @@ def solve_triangle(observations: list[TriangleFrameObs]) -> list[TriangleSolutio
     return solutions
 
 
-def posed_triple(obs: TriangleFrameObs, depths: np.ndarray) -> np.ndarray:
-    """Embed one frame's triangle in view coordinates (u, v, depth)."""
-    return np.array(
-        [
-            [obs.p[0], obs.p[1], depths[0]],
-            [obs.q[0], obs.q[1], depths[1]],
-            [obs.r[0], obs.r[1], depths[2]],
-        ]
-    )
-
-
 def recover_motions_consistent(
     observations: list[TriangleFrameObs],
     solution: TriangleSolution,
@@ -306,7 +296,7 @@ def recover_motions_consistent(
     if len(observations) != len(solution.frames):
         raise InputError(f"{len(observations)} observations for {len(solution.frames)} frames")
     rows = zip(observations, (f.depths.tolist() for f in solution.frames))
-    posed = np.array(  # every frame's posed_triple, in one call
+    posed = np.array(  # every frame's triangle in view coordinates (u, v, depth)
         [[[*o.p.tolist(), d[0]], [*o.q.tolist(), d[1]], [*o.r.tolist(), d[2]]] for o, d in rows]
     )
     fits = best_fit_motions(posed[0], posed[1:])
@@ -315,6 +305,8 @@ def recover_motions_consistent(
 
 def observations_from_dataset(dataset, labels=None) -> list[TriangleFrameObs]:
     """Triangle observations for three labels of an orthographic dataset."""
+    if dataset.regime is not Regime.ORTHOGRAPHIC:
+        raise InputError("the three-point solver needs an orthographic dataset")
     if labels is None:
         labels = dataset.labels[:3]
     if len(labels) != 3:

@@ -78,13 +78,6 @@ class NormalizedPair:
     rot2: Rotation
     distinguished: str
 
-    def original_points(self, frame: int) -> np.ndarray:
-        """Invert the recorded recalculation (round-trip check)."""
-        rot = self.rot1 if frame == 1 else self.rot2
-        pts = self.points1 if frame == 1 else self.points2
-        m = bearing(pts) @ rot.matrix  # rows R^T b
-        return m[:, :2] / m[:, 2:]
-
 
 def _axis_rotation(b: np.ndarray) -> Rotation:
     """Rotation taking the unit bearing ``b`` onto the optical axis."""
@@ -131,11 +124,6 @@ def normalize_distinguished(
     n1, n2 = m1[:, :2] / m1[:, 2:], m2[:, :2] / m2[:, 2:]
     n1[d] = n2[d] = 0.0
     return NormalizedPair(labels, n1, n2, rot1, rot2, distinguished)
-
-
-def elimination_constraint(e: np.ndarray, m1, m2) -> float:
-    """Depth-free bilinear constraint residual for one correspondence."""
-    return float(bearing(m2) @ np.asarray(e, dtype=float) @ bearing(m1))
 
 
 def solve_composite(
@@ -260,7 +248,7 @@ def _pure_rotation_fit(b1: np.ndarray, b2: np.ndarray) -> tuple[Rotation, float]
 
     A rotation about the focal point moves no bearing's origin, so the
     bearings are aligned as they are, not centered as in
-    :func:`~multiframe.geometry.best_fit_rotation`.
+    :func:`~multiframe.geometry.best_fit_motions`.
     """
     b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
     b2 = b2 / np.linalg.norm(b2, axis=1, keepdims=True)

@@ -45,7 +45,6 @@ class SceneSpec:
 
     points: dict[str, np.ndarray]
     curves: list[CurveSpec] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self):
         pts = {k: np.asarray(v, dtype=float) for k, v in self.points.items()}
@@ -228,22 +227,6 @@ def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset
     return MultiframeDataset(dataset.regime, dataset.labels, points, frames, dataset.truth, noise)
 
 
-def rerender_truth(dataset: MultiframeDataset) -> MultiframeDataset:
-    """Render the truth block again (noiselessly); used by validators."""
-    if dataset.truth is None:
-        raise InputError("dataset carries no truth block")
-    t = dataset.truth
-    curves = []
-    if t.curves3d:
-        by_id = {c["id"]: c for c in t.curves3d}
-        for c in dataset.frames[0].curves:
-            ends = tuple(c.get("endpoints") or ("", ""))
-            if all(e in t.points3d for e in ends):
-                curves.append(CurveSpec(c["id"], by_id[c["id"]]["samples"], ends))
-    scene = SceneSpec(dict(t.points3d), curves, seed=0)
-    return render(scene, MotionScript(motions=t.motions), dataset.regime)
-
-
 def validate_general_position(dataset: MultiframeDataset) -> list[str]:
     """Warnings for configurations that break solver preconditions.
 
@@ -353,7 +336,7 @@ def random_triangle_scene(seed: int, center=(0.0, 0.0, 0.0)) -> SceneSpec:
         sides = [np.linalg.norm(pts[i] - pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
         if area > 0.35 and min(sides) > 0.4:
             break
-    return SceneSpec({"P": pts[0], "Q": pts[1], "R": pts[2]}, seed=seed)
+    return SceneSpec({"P": pts[0], "Q": pts[1], "R": pts[2]})
 
 
 # separation of a cloud of n points: CLOUD_SPREAD * n^(-1/3), at most 0.15, so that
@@ -383,7 +366,7 @@ def random_cloud_scene(seed: int, n_points: int = 10, center=(0.0, 0.0, 3.0)) ->
             k += 1
     if n_points >= 3 and np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
         return random_cloud_scene(seed + 100_003, n_points, center)
-    return SceneSpec({f"p{i:02d}": p for i, p in enumerate(pts)}, seed=seed)
+    return SceneSpec({f"p{i:02d}": p for i, p in enumerate(pts)})
 
 
 def random_arc_scene(seed: int, n_samples: int = 100, center=(0.0, 0.0, 3.0)) -> SceneSpec:
@@ -406,7 +389,7 @@ def random_arc_scene(seed: int, n_samples: int = 100, center=(0.0, 0.0, 3.0)) ->
     pts["arc:start"] = samples[0]
     pts["arc:end"] = samples[-1]
     curve = CurveSpec("arc", samples, ("arc:start", "arc:end"))
-    return SceneSpec(pts, [curve], seed=seed)
+    return SceneSpec(pts, [curve])
 
 
 def random_motion_script(

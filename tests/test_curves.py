@@ -18,13 +18,12 @@ from multiframe.curves import (
     transfer_point,
 )
 from multiframe.dof import Regime
-from multiframe.errors import DegenerateGeometry
+from multiframe.errors import DegenerateGeometry, InputError
 from multiframe.geometry import (
     CameraPose,
-    project,
-    ray_through,
-    triangulate_midpoint,
-    vec2,
+    project_points,
+    rays_through,
+    triangulate_midpoints,
     vec3,
 )
 from multiframe.scene import (
@@ -72,7 +71,7 @@ class TestEpipolarLine:
             None,
         )
         lines = [
-            epipolar_line(vec2(u, v), pose1, pose2)
+            epipolar_line(np.array([u, v]), pose1, pose2)
             for u, v in [(-1.2, 0.3), (0.5, -0.7), (2.0, 1.0)]
         ]
         for a, b in zip(lines, lines[1:]):
@@ -83,13 +82,11 @@ class TestEpipolarLine:
         # line coefficients vs joining the projections of two ray points
         ds, _ = arc_dataset(2, n_samples=10)
         p1, p2 = truth_poses(ds, 0), truth_poses(ds, 1)
-        from multiframe.geometry import ray_through
-
         img1 = ds.points[0][0]
         line = epipolar_line(img1, p1, p2)
-        ray = ray_through(img1, p1)
-        for t in (1.5, 2.5, 4.0):
-            q = project(ray.point_at(t), p2)
+        origins, dirs = rays_through(img1, p1)
+        images, _ = project_points(origins + np.array([[1.5], [2.5], [4.0]]) * dirs, p2)
+        for q in images:
             off = q - line.point
             dist = abs(off[0] * line.direction[1] - off[1] * line.direction[0])
             assert dist < 1e-9
@@ -101,7 +98,7 @@ class TestEpipolarLine:
             vec3(0, 0, 2.5), vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1.5)
         )
         with pytest.raises(DegenerateGeometry):
-            epipolar_line(vec2(0, 0), pose1, pose2)
+            epipolar_line(np.array([0, 0]), pose1, pose2)
 
     def test_ray_near_parallel_to_second_focal_plane(self):
         # the ray through (u, 0.1) meets the plane x = 3 of the second
@@ -110,8 +107,8 @@ class TestEpipolarLine:
         c, s = np.cos(0.7), np.sin(0.7)
         pose2 = CameraPose(vec3(2, 0, 3), vec3(0, s, -c), vec3(0, c, s), vec3(3, 0, 3))
         for u in (1e-2, 1e-4, 1e-6, 1e-8):
-            line = epipolar_line(vec2(u, 0.1), pose1, pose2)
-            image = project(3.0 * vec3(u, 0.1, 1.0), pose2)
+            line = epipolar_line(np.array([u, 0.1]), pose1, pose2)
+            (image,), _ = project_points(3.0 * vec3(u, 0.1, 1.0), pose2)
             assert line_distance(image, line.point, line.direction) < 1e-10
 
     def test_ray_parallel_to_focal_plane_behind_camera_masked(self):
@@ -122,7 +119,7 @@ class TestEpipolarLine:
         samples = np.array([[0.5, 0.2], [-0.5, 0.2], [0.0, 0.2]])
         points, directions, degenerate = epipolar_lines(samples, pose1, pose2)
         assert degenerate.tolist() == [False, True, True]
-        image = project(vec3(0.5, 0.2, 3.0), pose2)
+        (image,), _ = project_points(vec3(0.5, 0.2, 3.0), pose2)
         assert line_distance(image, points[0], directions[0]) < 1e-12
         for d1 in samples[1:]:
             with pytest.raises(DegenerateGeometry):
@@ -268,16 +265,19 @@ class TestLiftCurve:
         c1, c2 = pairs["arc"]
         lifted = lift_curve(c1, c2, p1, p2)
         scale = max(np.max(np.abs(c1.samples)), np.max(np.abs(c2.samples)))
-        for p, i, m2 in zip(lifted.points, lifted.source_indices, lifted.matches2):
-            assert np.linalg.norm(project(p, p1) - c1.samples[i]) < 1e-8 * scale
-            assert np.linalg.norm(project(p, p2) - m2) < 1e-8 * scale
+        images1, _ = project_points(lifted.points, p1)
+        images2, _ = project_points(lifted.points, p2)
+        off1 = images1 - c1.samples[lifted.source_indices]
+        assert np.linalg.norm(off1, axis=1).max() < 1e-8 * scale
+        assert np.linalg.norm(images2 - lifted.matches2, axis=1).max() < 1e-8 * scale
 
     def test_monotone_match_positions(self):
         ds, _ = arc_dataset(6, n_samples=80)
         p1, p2 = truth_poses(ds, 0), truth_poses(ds, 1)
         c1, c2 = curves_from_dataset(ds)["arc"]
         lifted = lift_curve(c1, c2, p1, p2)
-        arc = c2.arc_positions
+        steps = np.linalg.norm(np.diff(c2.samples, axis=0), axis=1)
+        arc = np.concatenate([[0.0], np.cumsum(steps)])
         pos = []
         for m in lifted.matches2:
             d = np.linalg.norm(c2.samples - m[None, :], axis=1)
@@ -306,12 +306,12 @@ class TestLiftCurve:
         pose2 = CameraPose(
             vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), None
         )  # same plane: depths along +z
-        img1 = ImageCurve(np.array([project(p, pose1) for p in samples]))
-        img2 = ImageCurve(np.array([project(p, pose2) for p in samples]))
+        img1 = ImageCurve(project_points(samples, pose1)[0])
+        img2 = ImageCurve(project_points(samples, pose2)[0])
         # views must differ for triangulation: tilt the second camera
         c, s = np.cos(0.5), np.sin(0.5)
         pose2 = CameraPose(vec3(0, 0, 0), vec3(c, 0, -s), vec3(0, 1, 0), None)
-        img2 = ImageCurve(np.array([project(p, pose2) for p in samples]))
+        img2 = ImageCurve(project_points(samples, pose2)[0])
         lifted = lift_curve(img1, img2, pose1, pose2)
         depths = lifted.points[:, 2]
         assert np.max(np.abs(depths - depths[0])) < 1e-9
@@ -334,12 +334,19 @@ class TestLiftCurve:
             [np.full(10, 0.3), np.linspace(0.25, 0.7, 10), np.full(10, 3.0)], axis=1
         )
         samples = np.concatenate([run, hook])
-        img1 = ImageCurve(np.array([project(p, pose1) for p in samples]))
-        img2 = ImageCurve(np.array([project(p, pose2) for p in samples]))
+        img1 = ImageCurve(project_points(samples, pose1)[0])
+        img2 = ImageCurve(project_points(samples, pose2)[0])
         lifted = lift_curve(img1, img2, pose1, pose2)
         assert len(lifted.flagged) > 0
         for i in lifted.source_indices:
             assert i not in lifted.flagged
+
+    def test_one_frame_dataset_rejected(self):
+        scene = random_arc_scene(11, n_samples=20)
+        script = random_motion_script(12, 1, Regime.PERSPECTIVE_CALIBRATED, scene)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        with pytest.raises(InputError, match="frames 0 and 1 of 1"):
+            curves_from_dataset(ds)
 
     def test_orthographic_limit_matches_orthographic_path(self):
         # far-focal perspective converges to the orthographic result
@@ -356,10 +363,10 @@ class TestLiftCurve:
         pose_p2 = CameraPose(
             pose_o2.origin, pose_o2.basis_u, pose_o2.basis_v, pose_o2.origin - f * pose_o2.normal
         )
-        img_o1 = ImageCurve(np.array([project(p, pose_o1) for p in samples]))
-        img_o2 = ImageCurve(np.array([project(p, pose_o2) for p in samples]))
-        img_p1 = ImageCurve(np.array([project(p, pose_p1) for p in samples]))
-        img_p2 = ImageCurve(np.array([project(p, pose_p2) for p in samples]))
+        img_o1 = ImageCurve(project_points(samples, pose_o1)[0])
+        img_o2 = ImageCurve(project_points(samples, pose_o2)[0])
+        img_p1 = ImageCurve(project_points(samples, pose_p1)[0])
+        img_p2 = ImageCurve(project_points(samples, pose_p2)[0])
         lift_o = lift_curve(img_o1, img_o2, pose_o1, pose_o2)
         lift_p = lift_curve(img_p1, img_p2, pose_p1, pose_p2)
         common = sorted(set(lift_o.source_indices) & set(lift_p.source_indices))
@@ -385,8 +392,8 @@ class TestSweepPosition:
         z = 3.0 + 0.2 * np.cos(3 * t)
         y = 0.1 * z * np.clip(np.cos(7 * np.pi * t), -0.97, 0.97)
         samples = np.stack([-0.6 + 1.2 * t, y, z], axis=1)
-        img1 = ImageCurve(np.array([project(p, pose1) for p in samples]))
-        img2 = ImageCurve(np.array([project(p, pose2) for p in samples[:-8]]))
+        img1 = ImageCurve(project_points(samples, pose1)[0])
+        img2 = ImageCurve(project_points(samples[:-8], pose2)[0])
         return img1, img2, pose1, pose2
 
     def test_lift_equals_chain_of_one_row_transfers(self):
@@ -411,13 +418,14 @@ class TestSweepPosition:
             if hit.tangent:
                 flagged.append(i)
                 continue
-            try:
-                p, _ = triangulate_midpoint(ray_through(d1, pose1), ray_through(hit.point, pose2))
-            except DegenerateGeometry:
+            mid, _, parallel = triangulate_midpoints(
+                *rays_through(d1, pose1), *rays_through(hit.point, pose2)
+            )
+            if parallel[0]:
                 flagged.append(i)
                 continue
             kept.append(i)
-            points.append(p)
+            points.append(mid[0])
         # later samples see several crossings, and the carried position picks one
         assert depends_on_prev > 10
         lifted = lift_curve(img1, img2, pose1, pose2)
@@ -542,7 +550,8 @@ class TestCandidateStage:
     )
     def test_matches_full_table(self, data, curve, kind, n, band):
         points, directions = data.draw(pencils(curve.samples, band, kind, n))
-        prev = data.draw(st.floats(0.0, float(curve.arc_positions[-1])))
+        length = np.cumsum(np.linalg.norm(np.diff(curve.samples, axis=0), axis=1))[-1]
+        prev = data.draw(st.floats(0.0, float(length)))
         self.check(curve, points, directions, band, prev)
 
     @settings(max_examples=50)

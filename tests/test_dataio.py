@@ -84,6 +84,8 @@ def edited(path, value):
 
 SAMPLE = ("frames", 0, "curves", 0, "samples")
 SAMPLE3 = ("truth", "curves3d", 0, "samples")
+CURVE_ID = ("frames", 0, "curves", 0, "id")
+ENDPOINTS = ("frames", 0, "curves", 0, "endpoints")
 
 
 def parse_error_of(blob) -> str:
@@ -339,6 +341,27 @@ class TestMalformedInput:
     def test_truth_curve_without_samples(self):
         doc = edited(("truth", "curves3d", 0, "samples"), DELETE)
         assert parse_error(doc) == "truth.curves3d[0]: missing 'samples'"
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (CURVE_ID, ["arc"], "frames[0].curves[0].id: expected a string"),
+            (CURVE_ID, 7, "frames[0].curves[0].id: expected a string"),
+            (("truth", "curves3d", 0, "id"), None, "truth.curves3d[0].id: expected a string"),
+            (ENDPOINTS, ["arc:start"], "frames[0].curves[0].endpoints: expected two labels"),
+            (ENDPOINTS, ["a", "b", "c"], "frames[0].curves[0].endpoints: expected two labels"),
+            (ENDPOINTS, ["a", 1], "frames[0].curves[0].endpoints: expected two labels"),
+            (ENDPOINTS, "ab", "frames[0].curves[0].endpoints: expected a list"),
+        ],
+        ids=["list-id", "number-id", "null-truth-id", "one-label", "three", "number-label", "text"],
+    )
+    def test_bad_curve_id_or_endpoints(self, path, value, where):
+        assert parse_error(edited(path, value)) == where
+
+    @pytest.mark.parametrize("ends, want", [([], None), (["a", "b"], ["a", "b"])])
+    def test_empty_or_two_endpoints_accepted(self, ends, want):
+        curve = read_dataset(dumps(edited(ENDPOINTS, ends))).frames[0].curves[0]
+        assert curve.get("endpoints") == want
 
     def test_non_numeric_rotation(self):
         doc = edited(("truth", "motions", 0, "rotation", 0), "a")

@@ -19,16 +19,12 @@ from multiframe.geometry import (
     _row_norms,
     best_fit_motion,
     best_fit_motions,
-    best_fit_rotation,
     cross,
-    project,
     project_points,
     projection_matrix,
-    ray_through,
     rays_through,
     triangulate_midpoint,
     triangulate_midpoints,
-    vec2,
     vec3,
 )
 
@@ -282,14 +278,15 @@ class TestRigidMotion:
 class TestOrthographicProjection:
     def test_plane_origin_maps_to_zero(self):
         pose = CameraPose.canonical_orthographic()
-        assert np.allclose(project(pose.origin, pose), vec2(0, 0))
+        assert np.allclose(project_points(pose.origin, pose)[0], [[0, 0]])
 
     def test_normal_translation_has_no_effect(self):
         rng = np.random.default_rng(8)
         pose = random_pose(rng, perspective=False)
         p = rng.normal(size=3)
         shifted = p + 3.7 * pose.normal
-        assert np.allclose(project(p, pose), project(shifted, pose), atol=1e-12)
+        image, shifted_image = project_points([p, shifted], pose)[0]
+        assert np.allclose(image, shifted_image, atol=1e-12)
 
     def test_matches_hand_expanded_dot_products(self):
         # independent arithmetic oracle: expand the dot products literally
@@ -299,18 +296,18 @@ class TestOrthographicProjection:
         d = p - pose.origin
         expected_u = d[0] * pose.basis_u[0] + d[1] * pose.basis_u[1] + d[2] * pose.basis_u[2]
         expected_v = d[0] * pose.basis_v[0] + d[1] * pose.basis_v[1] + d[2] * pose.basis_v[2]
-        assert np.allclose(project(p, pose), [expected_u, expected_v])
+        assert np.allclose(project_points(p, pose)[0], [[expected_u, expected_v]])
 
 
 class TestPerspectiveProjection:
     def test_axis_point_maps_to_zero(self):
         pose = CameraPose.canonical_perspective()
-        assert np.allclose(project(vec3(0, 0, 5), pose), vec2(0, 0))
+        assert np.allclose(project_points(vec3(0, 0, 5), pose)[0], [[0, 0]])
 
     def test_depth_two_halves_offsets(self):
         pose = CameraPose.canonical_perspective()
-        out = project(vec3(0.6, -0.4, 2.0), pose)
-        assert np.allclose(out, vec2(0.3, -0.2))
+        out, _ = project_points(vec3(0.6, -0.4, 2.0), pose)
+        assert np.allclose(out, [[0.3, -0.2]])
 
     def test_reprojected_ray_passes_through_point(self):
         rng = np.random.default_rng(10)
@@ -319,44 +316,51 @@ class TestPerspectiveProjection:
             p = pose.focal + rng.uniform(1.0, 4.0) * pose.normal + rng.normal(
                 size=3, scale=0.5
             )
-            img = project(p, pose)
-            ray = ray_through(img, pose)
+            img, _ = project_points(p, pose)
+            (origin,), (direction,) = rays_through(img, pose)
             # distance from p to the ray should vanish
-            w = p - ray.origin
-            dist = np.linalg.norm(w - (w @ ray.direction) * ray.direction)
+            w = p - origin
+            dist = np.linalg.norm(w - (w @ direction) * direction)
             assert dist < 1e-9
 
     def test_nonpositive_depth_rejected(self):
         pose = CameraPose.canonical_perspective()
         with pytest.raises(DegenerateProjection):
-            project(vec3(0.1, 0.1, -1.0), pose)
+            project_points(vec3(0.1, 0.1, -1.0), pose)
         with pytest.raises(DegenerateProjection):
-            project(vec3(0.1, 0.1, 0.0), pose)
+            project_points(vec3(0.1, 0.1, 0.0), pose)
 
 
 class TestRayThrough:
     def test_center_ray_through_plane_origin(self):
         pose = CameraPose.canonical_perspective()
-        ray = ray_through(vec2(0, 0), pose)
-        assert np.allclose(ray.origin, pose.focal)
-        assert np.allclose(ray.direction, vec3(0, 0, 1))
+        origins, dirs = rays_through([0, 0], pose)
+        assert np.allclose(origins, [pose.focal])
+        assert np.allclose(dirs, [[0, 0, 1]])
+
+    def test_perspective_origin_is_one_broadcast_row(self):
+        rng = np.random.default_rng(16)
+        pose = random_pose(rng)
+        origins, dirs = rays_through(rng.normal(size=(7, 2)), pose)
+        assert origins.shape == (1, 3) and dirs.shape == (7, 3)
+        assert np.array_equal(origins[0], pose.focal)
 
     def test_orthographic_rays_share_plane_normal(self):
         rng = np.random.default_rng(11)
         pose = random_pose(rng, perspective=False)
-        for _ in range(10):
-            ray = ray_through(rng.normal(size=2), pose)
-            assert np.allclose(ray.direction, pose.normal, atol=1e-12)
+        origins, dirs = rays_through(rng.normal(size=(10, 2)), pose)
+        assert origins.shape == dirs.shape == (10, 3)
+        assert np.allclose(dirs, pose.normal, atol=1e-12)
 
     def test_projection_roundtrip(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             pose = random_pose(rng)
             img = rng.normal(size=2)
-            ray = ray_through(img, pose)
-            for t in (0.5, 1.0, 3.0):
-                back = project(ray.point_at(t * 1.2 + 0.2), pose)
-                assert np.allclose(back, img, atol=1e-10)
+            origins, dirs = rays_through(img, pose)
+            t = np.array([0.5, 1.0, 3.0])[:, None] * 1.2 + 0.2
+            back, _ = project_points(origins + t * dirs, pose)
+            assert np.allclose(back, img, atol=1e-10)
 
 
 class TestProjectionMatrix:
@@ -457,14 +461,14 @@ class TestBestFit:
         src = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
         dst = src.copy()
         dst[:, 2] *= -1  # mirror, not a rotation
-        rot, resid = best_fit_rotation(src, dst)
-        assert abs(np.linalg.det(rot.matrix) - 1.0) < 1e-9
+        motion, resid = best_fit_motions(src, dst[None])[0]
+        assert abs(np.linalg.det(motion.rotation.matrix) - 1.0) < 1e-9
         assert resid > 0.1
 
     def test_collinear_triple_rejected(self):
         src = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
         with pytest.raises(InputError):
-            best_fit_rotation(src, src)
+            best_fit_motions(src, src[None])
 
     @pytest.mark.parametrize("scale", [10.0**k for k in range(-7, 4)])
     def test_cutoff_is_relative_to_the_spread(self, scale):
@@ -489,16 +493,15 @@ class TestBestFit:
         tri = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         src, dst = tri.copy(), tri.copy()
         (src if side == "src" else dst)[1, 2] = bad
-        for fit in (best_fit_motion, best_fit_rotation):
-            with pytest.raises(InputError, match="finite"):
-                fit(src, dst)
+        with pytest.raises(InputError, match="finite"):
+            best_fit_motion(src, dst)
         with pytest.raises(InputError, match="finite"):
             best_fit_motions(src, np.array([tri, dst]))
 
     def test_two_dimensional_points_rejected(self):
         src = np.array([[0.0, 0], [1, 0], [0, 1]])
         with pytest.raises(InputError):
-            best_fit_rotation(src, src)
+            best_fit_motions(src, src[None])
         with pytest.raises(InputError):
             best_fit_motion(src, src)
 
@@ -619,9 +622,9 @@ class TestProjectPoints:
         for p, ref in zip(points, refs):
             if ref is None:
                 with pytest.raises(DegenerateProjection):
-                    project(p, pose)
+                    project_points(p, pose)
             else:
-                assert np.abs(project(p, pose) - ref).max() <= 1e-12 * scale
+                assert np.abs(project_points(p, pose)[0][0] - ref).max() <= 1e-12 * scale
         bad = [k for k, ref in enumerate(refs) if ref is None]
         if bad:
             with pytest.raises(DegenerateProjection) as exc:

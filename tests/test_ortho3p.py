@@ -9,7 +9,7 @@ from multiframe.errors import (
     InputError,
     RankDeficientError,
 )
-from multiframe.geometry import RigidMotion, Rotation, best_fit_motion, vec2, vec3
+from multiframe.geometry import RigidMotion, Rotation, best_fit_motion, vec3
 from multiframe.ortho3p import (
     TriangleFrameObs,
     edge_lengths,
@@ -17,12 +17,12 @@ from multiframe.ortho3p import (
     frame_sign_pattern,
     observations_from_dataset,
     pencil_rows,
-    posed_triple,
     recover_motions_consistent,
     solve_triangle,
 )
 from multiframe.scene import (
     MotionScript,
+    random_cloud_scene,
     random_motion_script,
     random_triangle_scene,
     render,
@@ -39,6 +39,11 @@ def block(a2, b2, c2):
     return a2 * a2 + b2 * b2 + c2 * c2 - 2 * a2 * b2 - 2 * a2 * c2 - 2 * b2 * c2
 
 
+def posed_triple(obs, depths):
+    """One frame's triangle in view coordinates (u, v, depth)."""
+    return np.column_stack([np.array([obs.p, obs.q, obs.r]), depths])
+
+
 def make_obs(seed, n_frames=3):
     """Triangle + generic rotations, rendered orthographically."""
     scene = random_triangle_scene(seed)
@@ -51,11 +56,11 @@ def make_obs(seed, n_frames=3):
 
 class TestEdgeLengths:
     def test_unit_right_triangle(self):
-        a, b, c = edge_lengths(vec2(0, 0), vec2(1, 0), vec2(0, 1))
+        a, b, c = edge_lengths([0, 0], [1, 0], [0, 1])
         assert np.allclose([a, b, c], [1.0, np.sqrt(2.0), 1.0])
 
     def test_collinear_points_still_have_lengths(self):
-        a, b, c = edge_lengths(vec2(0, 0), vec2(1, 0), vec2(2, 0))
+        a, b, c = edge_lengths([0, 0], [1, 0], [2, 0])
         assert np.allclose([a, b, c], [1.0, 1.0, 2.0])
 
     def test_random_triangle_against_recompute(self):
@@ -68,14 +73,14 @@ class TestEdgeLengths:
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateGeometry):
-            edge_lengths(vec2(0, 0), vec2(0, 0), vec2(1, 1))
+            edge_lengths([0, 0], [0, 0], [1, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
         with pytest.raises(InputError, match="finite"):
             TriangleFrameObs.from_points([bad, 0.0], [1.0, 0.0], [0.0, 1.0])
         with pytest.raises(InputError, match="finite"):
-            edge_lengths(vec2(0, 0), vec2(1, 0), vec2(0, bad))
+            edge_lengths([0, 0], [1, 0], [0, bad])
 
     @pytest.mark.parametrize("far", [1e200, 1e155, 1.0e154])
     def test_overflowing_square_rejected(self, far):
@@ -100,7 +105,7 @@ class TestEdgeLengths:
 class TestEq4:
     @pytest.mark.parametrize("x", [(np.nan, 1, 1), (1, np.nan, 1), (1, 1, np.nan), (1, -1, 1)])
     def test_nan_or_negative_squared_length_rejected(self, x):
-        obs = TriangleFrameObs.from_points(vec2(0, 0), vec2(1, 0), vec2(0, 1))
+        obs = TriangleFrameObs.from_points([0, 0], [1, 0], [0, 1])
         with pytest.raises(InputError):
             eq4_residual(*x, obs)
 
@@ -113,13 +118,13 @@ class TestEq4:
 
     def test_parallel_frame_zero(self):
         # triangle parallel to the plane: observed lengths equal true ones
-        obs = TriangleFrameObs.from_points(vec2(0, 0), vec2(1, 0), vec2(0.2, 0.9))
+        obs = TriangleFrameObs.from_points([0, 0], [1, 0], [0.2, 0.9])
         r = eq4_residual(obs.a**2, obs.b**2, obs.c**2, obs)
         assert abs(r) < 1e-12
 
     def test_degree_four_homogeneity(self):
-        obs = TriangleFrameObs.from_points(vec2(0, 0), vec2(1.1, 0), vec2(0.3, 0.8))
-        obs2 = TriangleFrameObs.from_points(vec2(0, 0), vec2(2.2, 0), vec2(0.6, 1.6))
+        obs = TriangleFrameObs.from_points([0, 0], [1.1, 0], [0.3, 0.8])
+        obs2 = TriangleFrameObs.from_points([0, 0], [2.2, 0], [0.6, 1.6])
         x = (1.5, 1.7, 1.1)
         r1 = eq4_residual(*x, obs)
         r2 = eq4_residual(*(4 * v for v in x), obs2)
@@ -223,10 +228,17 @@ class TestSolveTriangle:
         with pytest.raises(InputError):
             solve_triangle(obs_list[:2])
 
+    def test_perspective_dataset_rejected(self):
+        scene = random_cloud_scene(13, n_points=3)
+        script = random_motion_script(14, 3, Regime.PERSPECTIVE_CALIBRATED, scene)
+        ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        with pytest.raises(InputError, match="orthographic"):
+            observations_from_dataset(ds)
+
 
 class TestDepths:
     def test_parallel_frame_offsets_zero(self):
-        obs = TriangleFrameObs.from_points(vec2(0, 0), vec2(1, 0), vec2(0.2, 0.9))
+        obs = TriangleFrameObs.from_points([0, 0], [1, 0], [0.2, 0.9])
         _, depths = frame_sign_pattern((obs.a**2, obs.b**2, obs.c**2), obs)
         assert np.allclose(depths, 0.0, atol=1e-9)
 

@@ -6,7 +6,7 @@ import pytest
 from multiframe.dataio import read_dataset, write_dataset
 from multiframe.dof import Regime
 from multiframe.errors import GenerationError, InputError, ParseError
-from multiframe.geometry import CameraPose, RigidMotion, Rotation, project, vec3
+from multiframe.geometry import CameraPose, RigidMotion, Rotation, project_points, vec3
 from multiframe.scene import (
     CLOUD_SPREAD,
     CurveSpec,
@@ -21,7 +21,6 @@ from multiframe.scene import (
     random_motion_script,
     random_triangle_scene,
     render,
-    rerender_truth,
     truth_poses,
     validate_general_position,
 )
@@ -68,7 +67,8 @@ class TestRender:
             )
             script = random_motion_script(6, 3, regime, scene)
             ds = render(scene, script, regime)
-            redone = rerender_truth(ds)
+            truth = SceneSpec(dict(ds.truth.points3d))
+            redone = render(truth, MotionScript(ds.truth.motions), regime)
             assert redone.labels == ds.labels
             for f, g in zip(ds.points, redone.points):
                 for j in range(len(ds.labels)):
@@ -96,10 +96,10 @@ class TestRender:
         script = random_motion_script(10, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
         ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
         assert ds.labels == ("a", "b", "c") and ds.points.shape == (2, 3, 2)
+        points = [xyz[lab] for lab in ds.labels]
         for i in range(2):
-            pose = truth_poses(ds, i)
-            for j, lab in enumerate(ds.labels):
-                assert np.allclose(ds.points[i, j], project(xyz[lab], pose), atol=1e-12)
+            images, _ = project_points(points, truth_poses(ds, i))
+            assert np.allclose(ds.points[i], images, atol=1e-12)
 
     def test_uncalibrated_regime_refused(self):
         scene = random_cloud_scene(8, n_points=7)
@@ -393,7 +393,7 @@ class TestSpecValidation:
     def test_truth_poses_match_object_motion(self):
         # observing the moved object equals observing with the inverse-moved camera
         ds = make_dataset(34, Regime.PERSPECTIVE_CALIBRATED)
+        points = [ds.truth.points3d[lab] for lab in ds.labels]
         for i, pts in enumerate(ds.points):
-            pose = truth_poses(ds, i)
-            for j, lab in enumerate(ds.labels):
-                assert np.allclose(project(ds.truth.points3d[lab], pose), pts[j], atol=1e-10)
+            images, _ = project_points(points, truth_poses(ds, i))
+            assert np.allclose(images, pts, atol=1e-10)
