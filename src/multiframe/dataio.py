@@ -72,19 +72,27 @@ def _signed_zeros(text: str, has_zero: bool) -> str:
     return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]") if has_zero else text
 
 
-def _fmt_vec(xs: list) -> str:
-    return _signed_zeros("[" + ", ".join(format(x, ".17g") for x in xs) + "]", 0.0 in xs)
+def _vec(dim: int) -> str:
+    """The %-format of one ``dim``-vector."""
+    return "[" + ", ".join(["%.17g"] * dim) + "]"
 
 
 def _fmt_samples(samples) -> str:
     rows = _floats(samples)
-    row = "[" + ", ".join(["%.17g"] * len(rows[0])) + "]" if rows else ""
+    row = _vec(len(rows[0])) if rows else ""
     text = "[" + ", ".join([row % tuple(r) for r in rows]) + "]"
     return _signed_zeros(text, not np.all(samples))
 
 
-def _fmt_labeled(labels, rows) -> str:
-    return ", ".join(f"{json.dumps(lab)}: {_fmt_vec(row)}" for lab, row in zip(labels, rows))
+def _fmt_labeled(labels, points) -> list[str]:
+    """``"label": [x, y], ...`` of each ``(n, dim)`` block of the ``(k, n, dim)`` array
+    ``points``: one %-format per block, and the labels, dumped once, are joined on after
+    the signed-zero rewrite, which must not touch them."""
+    keys = [json.dumps(lab) + ": " for lab in labels]
+    fmt = "\n".join([_vec(points.shape[2])] * len(keys))
+    blocks = _floats(points.reshape(len(points), -1))
+    rows = [_signed_zeros(fmt % tuple(b), 0.0 in b).split("\n") for b in blocks]
+    return [", ".join(map(str.__add__, keys, row)) for row in rows]
 
 
 def write_dataset(dataset: MultiframeDataset) -> bytes:
@@ -93,12 +101,12 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
     out.append("{")
     out.append(f'  "regime": {json.dumps(dataset.regime.value)},')
     out.append('  "frames": [')
-    points = _floats(dataset.points)
+    points = _fmt_labeled(dataset.labels, dataset.points)
     for fi, f in enumerate(dataset.frames):
         out.append("    {")
         out.append(f'      "id": {int(f.id)},')
         comma = "," if f.curves else ""
-        out.append(f'      "points": {{{_fmt_labeled(dataset.labels, points[fi])}}}{comma}')
+        out.append(f'      "points": {{{points[fi]}}}{comma}')
         if f.curves:
             rows = []
             for c in f.curves:
@@ -118,16 +126,15 @@ def write_dataset(dataset: MultiframeDataset) -> bytes:
         t = dataset.truth
         out.append('  "truth": {')
         labels = sorted(t.points3d)
-        pts = _fmt_labeled(labels, _floats([t.points3d[lab] for lab in labels]))
+        xyz = np.array([t.points3d[lab] for lab in labels], dtype=float).reshape(1, -1, 3)
+        (pts,) = _fmt_labeled(labels, xyz)
         more = t.motions is not None or t.curves3d
         out.append(f'    "points3d": {{{pts}}}{"," if more else ""}')
         if t.motions is not None:
-            rows = [
-                f'{{"rotation": {_fmt_vec(_floats(m.rotation.matrix.ravel()))}, '
-                f'"translation": {_fmt_vec(_floats(m.translation))}}}'
-                for m in t.motions
-            ]
-            out.append(f'    "motions": [{", ".join(rows)}]' + ("," if t.curves3d else ""))
+            rows = _floats([[*m.rotation.matrix.ravel(), *m.translation] for m in t.motions])
+            fmt = f'{{"rotation": {_vec(9)}, "translation": {_vec(3)}}}'
+            text = _signed_zeros(", ".join([fmt % tuple(r) for r in rows]), True)
+            out.append(f'    "motions": [{text}]' + ("," if t.curves3d else ""))
         if t.curves3d:
             rows = [
                 f'{{"id": {json.dumps(c["id"])}, "samples": {_fmt_samples(c["samples"])}}}'

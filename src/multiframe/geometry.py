@@ -407,11 +407,15 @@ def best_fit_motions(src: np.ndarray, dst: np.ndarray) -> list[tuple[RigidMotion
     dc = dst - d_mean[:, None]
     u, s, vt = np.linalg.svd(np.einsum("ni,knj->kij", sc, dc))
     # rank < 2 means collinear points: rotation about the line is free.  Rounding
-    # leaves a collinear set's s1 near 1e-16 * s0; 1e-12 keeps four digits over
-    # that and accepts sets wider than 1e-6 of their length.  Relative to s0, so
-    # it holds at every scale; a set with no spread (s0 = 0) still fails
-    for i, ((s0, s1, _), ui, vi) in enumerate(zip(s.tolist(), u.tolist(), vt.tolist())):
-        if s1 <= 1e-12 * s0:
+    # leaves a collinear set's s1 near 1e-16 of |sc| |dc|, the product of the
+    # spreads (s0 too can be rounding, when the set's terms cancel); 1e-12 keeps
+    # four digits over that and accepts sets wider than 1e-6 of their length.
+    # Relative to the spreads, so it holds at every scale; a set with no spread
+    # still fails
+    spread = math.sqrt(np.vdot(sc, sc)) * np.sqrt(np.einsum("kni,kni->k", dc, dc))
+    rows = zip(s[:, 1].tolist(), spread.tolist(), u.tolist(), vt.tolist())
+    for i, (s1, bound, ui, vi) in enumerate(rows):
+        if s1 <= 1e-12 * bound:
             raise InputError("point sets are collinear; rotation is ill-posed")
         if _det3(ui) * _det3(vi) < 0:  # the sign of det(V U^T): flip V's last column
             vt[i, 2] = -vt[i, 2]

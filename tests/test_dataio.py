@@ -18,10 +18,12 @@ from multiframe.dataio import _parse_vec, read_dataset, write_dataset
 from multiframe.dof import Regime
 from multiframe.errors import ParseError
 from multiframe.persp2f import two_frame_reconstruct
+from multiframe.geometry import RigidMotion
 from multiframe.scene import (
     FrameObs,
     MultiframeDataset,
     NoiseSpec,
+    TruthBlock,
     add_noise,
     random_arc_scene,
     random_cloud_scene,
@@ -533,6 +535,37 @@ class TestDecodePaths:
         with stdlib_parser_refused():
             back = read_dataset(write_dataset(ds))
         assert same_bits(back.frames[0].curves[0]["samples"], samples)
+
+
+class TestWriteLabels:
+    """Labels are written as ``json.dumps`` writes them, whatever the numbers beside them."""
+
+    @pytest.mark.parametrize("label", ["-0,", "-0]", "[-0, -0]", "%s", "%.17g", "x\ny", "\u00e9"])
+    def test_label_round_trips_byte_for_byte(self, label):
+        labels = tuple(sorted([label, "b"]))
+        points = np.array([[[-0.0, 0.5], [0.0, -0.0]], [[1.0, -0.0], [-0.0, -0.0]]])
+        xyz = {label: np.array([-0.0, 1.0, 0.0]), "b": np.array([2.0, -0.0, -0.0])}
+        truth = TruthBlock(
+            {lab: xyz[lab] for lab in labels}, [RigidMotion.identity(), RigidMotion.identity()]
+        )
+        frames = [FrameObs(0, []), FrameObs(1, [])]
+        ds = MultiframeDataset(Regime.ORTHOGRAPHIC, labels, points, frames, truth)
+        blob = write_dataset(ds)
+        key = json.dumps(label).encode() + b": ["
+        assert blob.count(key) == 3  # both frames and the truth
+        back = read_dataset(blob)
+        assert back.labels == labels
+        assert same_bits(back.points, points)  # every -0.0 written as -0.0
+        assert same_points(back.truth.points3d, truth.points3d)
+        assert write_dataset(back) == blob
+
+    def test_no_labels(self):
+        ds = MultiframeDataset(
+            Regime.ORTHOGRAPHIC, (), np.zeros((2, 0, 2)), [FrameObs(0, []), FrameObs(1, [])],
+            TruthBlock({}),
+        )
+        back = read_dataset(write_dataset(ds))
+        assert back.labels == () and back.points.shape == (2, 0, 2) and back.truth.points3d == {}
 
 
 def orjson_refused():

@@ -498,6 +498,18 @@ class TestBestFit:
         with pytest.raises(InputError, match="finite"):
             best_fit_motions(src, np.array([tri, dst]))
 
+    def test_collinear_target_of_a_symmetric_source_rejected(self):
+        # source rows 0/4 and 1/3 equal, the target evenly spaced on a line: the
+        # cross-covariance is zero, so s0 is as much rounding as s1
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a, b, c = rng.uniform(-1, 1, size=(3, 3))
+            src = np.array([a, b, c, b, a])
+            dst = rng.uniform(-1, 1, size=3) + np.arange(5)[:, None] * rng.uniform(-1, 1, size=3)
+            assert reference_fit(src, dst) is None
+            with pytest.raises(InputError, match="collinear"):
+                best_fit_motions(src, dst[None])
+
     def test_two_dimensional_points_rejected(self):
         src = np.array([[0.0, 0], [1, 0], [0, 1]])
         with pytest.raises(InputError):
@@ -516,7 +528,7 @@ def reference_fit(src, dst):
     s_mean, d_mean = src.mean(axis=0), dst.mean(axis=0)
     sc, dc = src - s_mean, dst - d_mean
     u, s, vt = np.linalg.svd(sc.T @ dc)
-    if s[1] <= 1e-12 * s[0]:
+    if s[1] <= 1e-12 * np.linalg.norm(sc) * np.linalg.norm(dc):
         return None
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T

@@ -54,18 +54,26 @@ PERFBENCH = PYPROJECT.parent / "perfbench"
 # public names that nothing references yet, each with the reason it stays
 UNREFERENCED = {
     "validate_general_position": "the planned solve report (ROADMAP item 5) is to call it",
+    "describe": "DofVerdict.describe: the planned `verdict` command (ROADMAP item 5) prints it",
 }
 
 
 def _references(path: Path, tree: ast.Module) -> set[tuple[str, str, str]]:
     """``(name, module, owner)`` of every name, attribute and import in ``tree``, where
-    ``owner`` is the top-level definition holding it; the string constants of
-    ``perfbench/layers.py`` count too, as the traced run looks them up by name."""
+    ``owner`` is the top-level definition holding it, or ``Class.method`` inside a method
+    of a top-level class; the string constants of ``perfbench/layers.py`` count too, as
+    the traced run looks them up by name."""
     strings = path.name == "layers.py"
     out = set()
     for top in tree.body:
-        owner = getattr(top, "name", "")
+        in_method = {
+            id(sub): f"{top.name}.{node.name}"
+            for node in (top.body if isinstance(top, ast.ClassDef) else [])
+            if isinstance(node, ast.FunctionDef)
+            for sub in ast.walk(node)
+        }
         for node in ast.walk(top):
+            owner = in_method.get(id(node), getattr(top, "name", ""))
             if isinstance(node, ast.Name):
                 out.add((node.id, path.stem, owner))
             elif isinstance(node, ast.Attribute):
@@ -77,26 +85,49 @@ def _references(path: Path, tree: ast.Module) -> set[tuple[str, str, str]]:
     return out
 
 
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(name, qualified name)`` of every public top-level function or class and every
+    public method or property of a top-level class."""
+    out = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+            continue
+        out.append((top.name, top.name))
+        if isinstance(top, ast.ClassDef):
+            out += [
+                (node.name, f"{top.name}.{node.name}")
+                for node in top.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            ]
+    return out
+
+
 def test_every_public_definition_is_used():
-    """Every public top-level function or class is used outside its own definition, by
-    the package or the benchmark, or exported in ``multiframe.__all__``: a name that
-    only tests reach is code without a caller."""
+    """Every public top-level function or class, and every public method or property of
+    such a class, is used outside its own definition, by the package or the benchmark, or
+    exported in ``multiframe.__all__``: a name that only tests reach is code without a
+    caller.  Uses are matched by name alone; a method's use by another method of its
+    class counts, a class's use inside its own methods does not."""
     refs = set()
     for path in sorted(SOURCE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         refs |= _references(path, ast.parse(path.read_text(), str(path)))
     defined = [
-        (node.name, path.stem)
+        (name, path.stem, qualified)
         for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.parse(path.read_text(), str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        for name, qualified in _public_definitions(ast.parse(path.read_text(), str(path)))
     ]
-    assert len(defined) > 50, "too few definitions found: is SOURCE right?"
+    assert len(defined) > 80, "too few definitions found: is SOURCE right?"
+
+    def outside(ref, module, qualified):
+        _, ref_module, owner = ref
+        return ref_module != module or not (owner + ".").startswith(qualified + ".")
+
     unused = [
-        f"{module}.{name}"
-        for name, module in defined
+        f"{module}.{qualified}"
+        for name, module, qualified in defined
         if name not in UNREFERENCED
         and name not in multiframe.__all__
-        and not any(r[0] == name and r[1:] != (module, name) for r in refs)
+        and not any(r[0] == name and outside(r, module, qualified) for r in refs)
     ]
     assert not unused, f"public definitions that nothing outside the tests uses: {unused}"
-    assert UNREFERENCED.keys() <= {name for name, _ in defined}
+    assert UNREFERENCED.keys() <= {name for name, *_ in defined}
