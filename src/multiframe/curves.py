@@ -411,11 +411,11 @@ def lift_curve(
     )
 
 
-def curves_from_dataset(dataset, frame_a: int = 0, frame_b: int = 1):
-    """Paired image curves of two frames, keyed by curve id."""
-    if max(frame_a, frame_b) >= dataset.n_frames:
-        raise InputError(f"frames {frame_a} and {frame_b} of {dataset.n_frames} cannot be paired")
-    fa, fb = dataset.frames[frame_a], dataset.frames[frame_b]
+def curves_from_dataset(dataset):
+    """Paired image curves of frames 0 and 1, keyed by curve id."""
+    if dataset.n_frames < 2:
+        raise InputError(f"frames 0 and 1 of {dataset.n_frames} cannot be paired")
+    fa, fb = dataset.frames[:2]
     by_id = {c["id"]: c for c in fb.curves}
     out = {}
     for c in fa.curves:

@@ -1,9 +1,14 @@
 """Dataset (de)serialization: one UTF-8 JSON document per dataset.
 
-Numbers are written as decimals with 17 significant digits, which
-round-trips IEEE doubles exactly, ``-0.0`` included; key order is fixed,
-so identical datasets serialize to identical bytes.  Reading accepts any
-JSON layout of the documented schema.
+The writer builds the document as plain objects in a fixed key order and
+encodes it with one ``orjson.dumps``: compact, on one line, with a
+trailing newline.  Each number is the shortest decimal that reads back as
+the same double (``0.1``, not ``0.10000000000000001``), ``-0.0`` included,
+so every finite double round-trips and identical datasets serialize to
+identical bytes.  Each array is checked finite first, as orjson would
+write NaN and inf as ``null``; a label that is not exactly a ``str`` (a
+``numpy.str_`` neither), or any string holding a lone surrogate, raises
+:class:`ParseError` too.  Reading accepts any JSON layout of the schema.
 
 Top-level keys: ``regime`` (``orthographic`` or ``perspective_calibrated``),
 ``frames`` (each with ``id``, ``points`` and optional ``curves``), optional
@@ -59,96 +64,49 @@ from .geometry import RigidMotion, Rotation
 from .scene import FrameObs, MultiframeDataset, NoiseSpec, TruthBlock
 
 
-def _floats(a) -> list:
-    """``a`` as nested lists of Python floats, checked finite once for the whole array."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
+def _finite(a) -> np.ndarray:
+    """``a`` as a C-contiguous float array, as orjson writes no other, checked finite."""
+    a = np.ascontiguousarray(a, dtype=float)
+    if not np.isfinite(a).all():  # orjson would write NaN and inf as null
         raise ParseError("non-finite number cannot be serialized")
-    return a.tolist()
-
-
-def _signed_zeros(text: str, has_zero: bool) -> str:
-    """``%.17g`` list text with ``-0`` (JSON's integer 0) written ``-0.0``, if it has a zero."""
-    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]") if has_zero else text
-
-
-def _vec(dim: int) -> str:
-    """The %-format of one ``dim``-vector."""
-    return "[" + ", ".join(["%.17g"] * dim) + "]"
-
-
-def _fmt_samples(samples) -> str:
-    rows = _floats(samples)
-    row = _vec(len(rows[0])) if rows else ""
-    text = "[" + ", ".join([row % tuple(r) for r in rows]) + "]"
-    return _signed_zeros(text, not np.all(samples))
-
-
-def _fmt_labeled(labels, points) -> list[str]:
-    """``"label": [x, y], ...`` of each ``(n, dim)`` block of the ``(k, n, dim)`` array
-    ``points``: one %-format per block, and the labels, dumped once, are joined on after
-    the signed-zero rewrite, which must not touch them."""
-    keys = [json.dumps(lab) + ": " for lab in labels]
-    fmt = "\n".join([_vec(points.shape[2])] * len(keys))
-    blocks = _floats(points.reshape(len(points), -1))
-    rows = [_signed_zeros(fmt % tuple(b), 0.0 in b).split("\n") for b in blocks]
-    return [", ".join(map(str.__add__, keys, row)) for row in rows]
+    return a
 
 
 def write_dataset(dataset: MultiframeDataset) -> bytes:
     """Serialize losslessly with stable field ordering."""
-    out: list[str] = []
-    out.append("{")
-    out.append(f'  "regime": {json.dumps(dataset.regime.value)},')
-    out.append('  "frames": [')
-    points = _fmt_labeled(dataset.labels, dataset.points)
-    for fi, f in enumerate(dataset.frames):
-        out.append("    {")
-        out.append(f'      "id": {int(f.id)},')
-        comma = "," if f.curves else ""
-        out.append(f'      "points": {{{points[fi]}}}{comma}')
+    frames = []
+    for f, pts in zip(dataset.frames, _finite(dataset.points).tolist()):
+        frame = {"id": int(f.id), "points": dict(zip(dataset.labels, pts))}
         if f.curves:
-            rows = []
-            for c in f.curves:
-                ends = (
-                    f', "endpoints": {json.dumps(list(c["endpoints"]))}'
-                    if c.get("endpoints")
-                    else ""
-                )
-                rows.append(
-                    f'{{"id": {json.dumps(c["id"])}, "samples": {_fmt_samples(c["samples"])}{ends}}}'
-                )
-            out.append(f'      "curves": [{", ".join(rows)}]')
-        out.append("    }" + ("," if fi < len(dataset.frames) - 1 else ""))
-    tail = "," if (dataset.truth is not None or dataset.noise is not None) else ""
-    out.append("  ]" + tail)
+            frame["curves"] = [_curve_doc(c) for c in f.curves]
+        frames.append(frame)
+    doc = {"regime": dataset.regime.value, "frames": frames}
     if dataset.truth is not None:
         t = dataset.truth
-        out.append('  "truth": {')
         labels = sorted(t.points3d)
-        xyz = np.array([t.points3d[lab] for lab in labels], dtype=float).reshape(1, -1, 3)
-        (pts,) = _fmt_labeled(labels, xyz)
-        more = t.motions is not None or t.curves3d
-        out.append(f'    "points3d": {{{pts}}}{"," if more else ""}')
+        xyz = _finite([t.points3d[lab] for lab in labels]).tolist()
+        truth = doc["truth"] = {"points3d": dict(zip(labels, xyz))}
         if t.motions is not None:
-            rows = _floats([[*m.rotation.matrix.ravel(), *m.translation] for m in t.motions])
-            fmt = f'{{"rotation": {_vec(9)}, "translation": {_vec(3)}}}'
-            text = _signed_zeros(", ".join([fmt % tuple(r) for r in rows]), True)
-            out.append(f'    "motions": [{text}]' + ("," if t.curves3d else ""))
+            rows = _finite([[*m.rotation.matrix.ravel(), *m.translation] for m in t.motions])
+            truth["motions"] = [{"rotation": r[:9], "translation": r[9:]} for r in rows.tolist()]
         if t.curves3d:
-            rows = [
-                f'{{"id": {json.dumps(c["id"])}, "samples": {_fmt_samples(c["samples"])}}}'
-                for c in t.curves3d
-            ]
-            out.append(f'    "curves3d": [{", ".join(rows)}]')
-        out.append("  }" + ("," if dataset.noise is not None else ""))
+            truth["curves3d"] = [_curve_doc(c) for c in t.curves3d]
     if dataset.noise is not None:
-        out.append(
-            f'  "noise": {{"sigma": {format(float(dataset.noise.sigma), ".17g")}, '
-            f'"seed": {int(dataset.noise.seed)}}}'
-        )
-    out.append("}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+        doc["noise"] = {"sigma": float(dataset.noise.sigma), "seed": int(dataset.noise.seed)}
+    # orjson 3.8 returns its growth buffer, up to four times the document's length;
+    # the concatenation keeps an exact-size copy
+    try:
+        return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
+    except orjson.JSONEncodeError as exc:  # a non-string label, a lone surrogate
+        raise ParseError(f"dataset cannot be serialized: {exc}") from None
+
+
+def _curve_doc(c: dict) -> dict:
+    """A curve's JSON object: ``id``, ``samples`` and its ``endpoints``, if any."""
+    doc = {"id": c["id"], "samples": _finite(c["samples"])}
+    if c.get("endpoints"):
+        doc["endpoints"] = list(c["endpoints"])
+    return doc
 
 
 _MAX_DEPTH = 1024  # far above the schema's 5 levels, far below where orjson 3.8 crashes

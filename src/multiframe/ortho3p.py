@@ -288,15 +288,10 @@ def recover_motions_consistent(
     return [(RigidMotion.identity(), 0.0, False)] + [(m, e, False) for m, e in fits]
 
 
-def observations_from_dataset(dataset, labels=None) -> np.ndarray:
-    """The (k, 3, 2) observations of three labels of an orthographic dataset."""
+def observations_from_dataset(dataset) -> np.ndarray:
+    """The (k, 3, 2) observations of the first three labels of an orthographic dataset."""
     if dataset.regime is not Regime.ORTHOGRAPHIC:
         raise InputError("the three-point solver needs an orthographic dataset")
-    if labels is None:
-        labels = dataset.labels[:3]
-    if len(labels) != 3:
-        raise InputError("exactly three labels are required")
-    for lab in labels:
-        if lab not in dataset.labels:
-            raise InputError(f"label {lab!r} missing from the dataset")
-    return dataset.points[:, [dataset.labels.index(lab) for lab in labels]]
+    if len(dataset.labels) < 3:
+        raise InputError(f"the three-point solver needs 3 labels, not {len(dataset.labels)}")
+    return dataset.points[:, :3].copy()

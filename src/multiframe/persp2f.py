@@ -279,10 +279,10 @@ def _parallax_gap(points: np.ndarray) -> float:
 def two_frame_reconstruct(
     dataset,
     *,
-    distinguished: str | None = None,
     allow_eight: bool = False,
 ) -> MotionEstimate:
-    """Full pipeline: normalize, solve, decompose, vote, denormalize."""
+    """Full pipeline: normalize, solve, decompose, vote, denormalize; the first label is
+    the distinguished point."""
     if dataset.regime is not Regime.PERSPECTIVE_CALIBRATED:
         raise InputError("two-frame reconstruction needs a calibrated-perspective dataset")
     if dataset.n_frames != 2:
@@ -291,8 +291,7 @@ def two_frame_reconstruct(
     minimum = 8 if allow_eight else 9
     if len(labels) < minimum:
         raise InputError(NINE_POINT_MESSAGE)
-    if distinguished is None:
-        distinguished = labels[0]
+    distinguished = labels[0]
     uv1, uv2 = dataset.points[0], dataset.points[1]
 
     # zero-baseline scripts reduce to a pure rotation of the bearings; depths
@@ -320,7 +319,7 @@ def two_frame_reconstruct(
     a_norm, t_norm = candidates[winners[0]]
     vote = votes[winners[0]]
 
-    z_dist = vote.depths[labels.index(distinguished), 0]
+    z_dist = vote.depths[0, 0]
     if not (math.isfinite(z_dist) and z_dist > 0):
         raise AmbiguityError("distinguished point depth is unrecoverable")
     scale = 1.0 / z_dist

@@ -326,12 +326,11 @@ def _random_rotation(rng) -> Rotation:
     return Rotation.from_axis_angle(axis, rng.uniform(0.3, 2.2))
 
 
-def random_triangle_scene(seed: int, center=(0.0, 0.0, 0.0)) -> SceneSpec:
-    """Non-degenerate labeled triangle P, Q, R near ``center``."""
+def random_triangle_scene(seed: int) -> SceneSpec:
+    """Non-degenerate labeled triangle P, Q, R in the cube of half-width 1 around the origin."""
     rng = np.random.default_rng(seed)
-    c = np.asarray(center, dtype=float)
     while True:
-        pts = c[None, :] + rng.uniform(-1.0, 1.0, size=(3, 3))
+        pts = rng.uniform(-1.0, 1.0, size=(3, 3))
         area = np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
         sides = [np.linalg.norm(pts[i] - pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
         if area > 0.35 and min(sides) > 0.4:
@@ -343,37 +342,38 @@ def random_triangle_scene(seed: int, center=(0.0, 0.0, 0.0)) -> SceneSpec:
 # the points fill the same small share of the cube at every size; up to 101
 # points it is 0.15
 CLOUD_SPREAD = 0.7
+# where clouds and arcs are centered: in front of the canonical perspective camera
+CLOUD_CENTER = np.array([0.0, 0.0, 3.0])
 
 
-def random_cloud_scene(seed: int, n_points: int = 10, center=(0.0, 0.0, 3.0)) -> SceneSpec:
-    """Labeled point cloud in the cube of half-width 1 around ``center``.
+def random_cloud_scene(seed: int, n_points: int = 10) -> SceneSpec:
+    """Labeled point cloud in the cube of half-width 1 around ``CLOUD_CENTER``.
 
     Uniform draws are kept when they lie farther than the separation from
     every point kept before (the distance is the 1-D ``np.linalg.norm``'s,
     one dot per row).
     """
     rng = np.random.default_rng(seed)
-    c = np.asarray(center, dtype=float)
     sep = min(0.15, CLOUD_SPREAD * n_points ** (-1 / 3))
     pts = np.empty((n_points, 3))
     k = 0
     while k < n_points:
-        p = c + rng.uniform(-1.0, 1.0, size=3)
+        p = CLOUD_CENTER + rng.uniform(-1.0, 1.0, size=3)
         d = pts[:k] - p
         d = d[np.abs(d[:, 0]) <= 2 * sep]  # the others are farther along x alone
         if (np.sqrt((d[:, None] @ d[:, :, None]).ravel()) > sep).all():
             pts[k] = p
             k += 1
     if n_points >= 3 and np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
-        return random_cloud_scene(seed + 100_003, n_points, center)
+        return random_cloud_scene(seed + 100_003, n_points)
     return SceneSpec({f"p{i:02d}": p for i, p in enumerate(pts)})
 
 
-def random_arc_scene(seed: int, n_samples: int = 100, center=(0.0, 0.0, 3.0)) -> SceneSpec:
+def random_arc_scene(seed: int, n_samples: int = 100) -> SceneSpec:
     """Circular 3-D arc plus a labeled cloud; arc endpoints are traced."""
     rng = np.random.default_rng(seed)
-    cloud = random_cloud_scene(seed + 7, n_points=10, center=center)
-    c = np.asarray(center, dtype=float) + rng.uniform(-0.2, 0.2, size=3)
+    cloud = random_cloud_scene(seed + 7, n_points=10)
+    c = CLOUD_CENTER + rng.uniform(-0.2, 0.2, size=3)
     radius = rng.uniform(0.5, 0.9)
     u = rng.normal(size=3)
     u /= np.linalg.norm(u)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -538,7 +539,7 @@ class TestDecodePaths:
 
 
 class TestWriteLabels:
-    """Labels are written as ``json.dumps`` writes them, whatever the numbers beside them."""
+    """Labels are written as ``orjson.dumps`` writes them, whatever the numbers beside them."""
 
     @pytest.mark.parametrize("label", ["-0,", "-0]", "[-0, -0]", "%s", "%.17g", "x\ny", "\u00e9"])
     def test_label_round_trips_byte_for_byte(self, label):
@@ -551,13 +552,28 @@ class TestWriteLabels:
         frames = [FrameObs(0, []), FrameObs(1, [])]
         ds = MultiframeDataset(Regime.ORTHOGRAPHIC, labels, points, frames, truth)
         blob = write_dataset(ds)
-        key = json.dumps(label).encode() + b": ["
+        key = orjson.dumps(label) + b":["
         assert blob.count(key) == 3  # both frames and the truth
         back = read_dataset(blob)
         assert back.labels == labels
         assert same_bits(back.points, points)  # every -0.0 written as -0.0
         assert same_points(back.truth.points3d, truth.points3d)
         assert write_dataset(back) == blob
+
+    @pytest.mark.parametrize(
+        "labels, cause",
+        [
+            ((1, 2), "Dict key must be str"),
+            ((np.str_("a"),), "Dict key must be str"),  # orjson takes no str subclass
+            (("\ud800",), "surrogates not allowed"),
+        ],
+        ids=["integers", "numpy-str", "lone-surrogate"],
+    )
+    def test_unwritable_label_is_a_parse_error(self, labels, cause):
+        points = np.zeros((1, len(labels), 2))
+        ds = MultiframeDataset(Regime.ORTHOGRAPHIC, labels, points, [FrameObs(0, [])])
+        with pytest.raises(ParseError, match=f"cannot be serialized: .*{cause}"):
+            write_dataset(ds)
 
     def test_no_labels(self):
         ds = MultiframeDataset(
@@ -566,6 +582,19 @@ class TestWriteLabels:
         )
         back = read_dataset(write_dataset(ds))
         assert back.labels == () and back.points.shape == (2, 0, 2) and back.truth.points3d == {}
+
+
+def test_written_bytes_hold_no_spare_buffer():
+    """A set-up keeps every dataset it writes, so spare capacity would be peak memory."""
+    arc = random_arc_scene(5, n_samples=50)
+    ds = read_dataset(noisy_blob(arc, Regime.PERSPECTIVE_CALIBRATED, 2))
+    tracemalloc.start()
+    try:
+        blob = write_dataset(ds)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < len(blob) + 1024, f"{held} bytes held for a {len(blob)}-byte document"
 
 
 def orjson_refused():

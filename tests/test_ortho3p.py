@@ -61,7 +61,7 @@ def make_obs(seed, n_frames=3, sigma=0.0):
         ds = add_noise(ds, NoiseSpec(sigma, seed + 2))
     p, q, r = (scene.points[lab] for lab in ("P", "Q", "R"))
     truth = np.linalg.norm([q - p, r - q, p - r], axis=1)
-    return observations_from_dataset(ds, ["P", "Q", "R"]), truth, ds
+    return observations_from_dataset(ds), truth, ds
 
 
 def turned(points3d, turns):

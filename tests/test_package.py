@@ -131,3 +131,88 @@ def test_every_public_definition_is_used():
     ]
     assert not unused, f"public definitions that nothing outside the tests uses: {unused}"
     assert UNREFERENCED.keys() <= {name for name, *_ in defined}
+
+
+# defaulted parameters that no package or benchmark call sets, each with the reason it stays
+UNSET = {
+    "two_frame_reconstruct.allow_eight": "ROADMAP item 9 deletes it with the 9-point rule",
+    "DegenerateProjection.__init__.index": "set through the class: DegenerateProjection(msg, k)",
+}
+
+
+def _defaulted(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """``(name, qualified name, parameter, position)`` of every defaulted parameter of a
+    public top-level function or of a method of a public top-level class.  ``position``
+    is the parameter's index among a call's positional arguments (a method's ``self`` or
+    ``cls`` not counted: the package has no static method), None for a keyword-only
+    parameter."""
+    out = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+            continue
+        defs = [(top, top.name, 0)]
+        if isinstance(top, ast.ClassDef):
+            methods = [node for node in top.body if isinstance(node, ast.FunctionDef)]
+            defs = [(fn, f"{top.name}.{fn.name}", 1) for fn in methods]
+        for fn, qualified, skip in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                out.append((fn.name, qualified, positional[i].arg, i - skip))
+            out += [
+                (fn.name, qualified, arg.arg, None)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None
+            ]
+    return out
+
+
+def _calls(node: ast.AST, enclosing: frozenset = frozenset()) -> list:
+    """``(name, positional count, keywords, enclosing)`` of every call under ``node``:
+    the called name or attribute, the number of positional arguments (any number, with a
+    ``*`` argument), the keywords (None for a ``**`` argument) and the names of the
+    functions the call sits in."""
+    if isinstance(node, ast.FunctionDef):
+        enclosing = enclosing | {node.name}
+    out = []
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        star = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keys = {kw.arg for kw in node.keywords}
+        out.append((name, float("inf") if star else len(node.args), keys, enclosing))
+    for child in ast.iter_child_nodes(node):
+        out += _calls(child, enclosing)
+    return out
+
+
+def test_every_default_is_set_by_some_caller():
+    """Every defaulted parameter of a public function, or of a method of a public class,
+    is set by some call in the package or the benchmark, by keyword or by position: a
+    default no caller overrides is an option with one value in use, which is better a
+    constant.  Calls are matched by name alone; a function's calls to itself do not count."""
+    calls = [
+        call
+        for path in sorted(SOURCE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+        for call in _calls(ast.parse(path.read_text(), str(path)))
+    ]
+    params = [
+        (path.stem, *param)
+        for path in sorted(SOURCE.glob("*.py"))
+        for param in _defaulted(ast.parse(path.read_text(), str(path)))
+    ]
+    assert len(params) > 3, "too few defaulted parameters found: is SOURCE right?"
+
+    def sets(call, name, param, position):
+        called, n_positional, keys, enclosing = call
+        if called != name or name in enclosing:
+            return False
+        return param in keys or None in keys or (position is not None and n_positional > position)
+
+    unset = [
+        f"{module}.{qualified}({param}=)"
+        for module, name, qualified, param, position in params
+        if f"{qualified}.{param}" not in UNSET
+        and not any(sets(call, name, param, position) for call in calls)
+    ]
+    assert not unset, f"defaulted parameters that no package or benchmark call sets: {unset}"
+    assert UNSET.keys() <= {f"{qualified}.{param}" for _, _, qualified, param, _ in params}

@@ -36,7 +36,7 @@ from multiframe.geometry import RigidMotion
 
 
 def make_scene(seed, n_points=10):
-    scene = random_cloud_scene(seed, n_points=n_points, center=(0, 0, 3))
+    scene = random_cloud_scene(seed, n_points=n_points)
     script = random_motion_script(seed + 1, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
     ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
     return ds
@@ -365,7 +365,7 @@ class TestTwoFrameReconstruct:
                 assert err < 1e-6
 
     def test_identity_motion_flags_degenerate_baseline(self):
-        scene = random_cloud_scene(31, n_points=10, center=(0, 0, 3))
+        scene = random_cloud_scene(31, n_points=10)
         script = MotionScript(motions=[RigidMotion.identity()] * 2)
         ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
         est = two_frame_reconstruct(ds)
@@ -374,7 +374,7 @@ class TestTwoFrameReconstruct:
         assert est.translation is None
 
     def test_pure_rotation_flags_degenerate_baseline(self):
-        scene = random_cloud_scene(32, n_points=10, center=(0, 0, 3))
+        scene = random_cloud_scene(32, n_points=10)
         centroid = np.mean(list(scene.points.values()), axis=0)
         rot = Rotation.from_axis_angle(vec3(0, 1, 0), 0.15)
         # rotate the object about the focal point: no baseline, bearings rotate
@@ -417,7 +417,7 @@ class TestTwoFrameReconstruct:
     def test_scale_gauge_invariance(self):
         # uniformly rescaling the scene leaves the gauged structure unchanged
         seed = 41
-        scene = random_cloud_scene(seed, n_points=10, center=(0, 0, 3))
+        scene = random_cloud_scene(seed, n_points=10)
         script = random_motion_script(seed + 1, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
         ds1 = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
         from multiframe.scene import SceneSpec
@@ -471,7 +471,7 @@ class TestParallaxBound:
     def test_forced_fit_changes_no_estimate(self, monkeypatch, sigma):
         scenes = [make_scene(seed) for seed in (51, 52, 53)]
         # the scene of test_identity_motion_flags_degenerate_baseline
-        cloud = random_cloud_scene(31, n_points=10, center=(0, 0, 3))
+        cloud = random_cloud_scene(31, n_points=10)
         still = MotionScript(motions=[RigidMotion.identity()] * 2)
         scenes.append(render(cloud, still, Regime.PERSPECTIVE_CALIBRATED))
         for i, ds in enumerate(scenes):

@@ -10,6 +10,7 @@ from multiframe.geometry import CameraPose, RigidMotion, Rotation, project_point
 from multiframe.scene import (
     CLOUD_SPREAD,
     CurveSpec,
+    FrameObs,
     MotionScript,
     MultiframeDataset,
     NoiseSpec,
@@ -27,8 +28,9 @@ from multiframe.scene import (
 
 
 def make_dataset(seed=1, regime=Regime.ORTHOGRAPHIC, frames=3):
-    center = (0, 0, 0) if regime is Regime.ORTHOGRAPHIC else (0, 0, 3)
-    scene = random_triangle_scene(seed, center)
+    scene = random_triangle_scene(seed)
+    if regime is not Regime.ORTHOGRAPHIC:  # in front of the perspective camera
+        scene = SceneSpec({lab: p + (0, 0, 3) for lab, p in scene.points.items()})
     script = random_motion_script(seed + 1, frames, regime, scene)
     return render(scene, script, regime)
 
@@ -176,7 +178,7 @@ class TestNoise:
     def test_empirical_sigma(self):
         # statistical oracle: stddev of the injected perturbations
         sigma = 2.5e-3
-        scene = random_cloud_scene(15, n_points=100, center=(0, 0, 3))
+        scene = random_cloud_scene(15, n_points=100)
         script = MotionScript(motions=[RigidMotion.identity()] * 100)
         ds = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
         noisy = add_noise(ds, NoiseSpec(sigma, seed=6))
@@ -244,12 +246,18 @@ class TestSerialization:
         assert np.array_equal(ds.points[0][ds.labels.index("only")], [0.25, -1.5])
         assert ds.truth is None
 
-    def test_seventeen_digit_numbers(self):
-        ds = make_dataset(27)
-        text = write_dataset(ds).decode()
-        # a third of a unit cannot be written exactly in fewer digits
-        v = ds.points[0][0][0]
-        assert format(float(v), ".17g") in text
+    def test_numbers_are_shortest_round_trip_text(self):
+        written = [
+            (0.1, b"0.1"),
+            (0.1 + 0.2, b"0.30000000000000004"),  # needs all 17 digits
+            (1 / 3, b"0.3333333333333333"),
+            (-0.0, b"-0.0"),
+            (5e-324, b"5e-324"),
+        ]
+        for value, text in written:
+            ds = MultiframeDataset(Regime.ORTHOGRAPHIC, ("a",), [[[value, 2.5]]], [FrameObs(0, [])])
+            assert b'"a":[' + text + b",2.5]" in write_dataset(ds)
+            assert repr(value).encode() == text  # Python's shortest round-trip repr
 
 
 class TestValidation:
