@@ -1,15 +1,6 @@
 """Recovery of rigid 3-D structure and motion from multi-frame 2-D projections."""
 
-from .dof import (
-    DofVerdict,
-    FeatureCount,
-    Regime,
-    dof_orthographic,
-    dof_perspective_calibrated,
-    dof_uncalibrated,
-    dof_verdict,
-    verdict_table,
-)
+from .dof import DofVerdict, Regime, dof_verdict, verdict_table
 from .geometry import (
     CameraPose,
     Ray,
@@ -28,15 +19,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraPose",
     "DofVerdict",
-    "FeatureCount",
     "Ray",
     "Regime",
     "RigidMotion",
     "Rotation",
     "best_fit_motion",
-    "dof_orthographic",
-    "dof_perspective_calibrated",
-    "dof_uncalibrated",
     "dof_verdict",
     "project_points",
     "projection_matrix",

@@ -6,9 +6,10 @@ trailing newline.  Each number is the shortest decimal that reads back as
 the same double (``0.1``, not ``0.10000000000000001``), ``-0.0`` included,
 so every finite double round-trips and identical datasets serialize to
 identical bytes.  Each array is checked finite first, as orjson would
-write NaN and inf as ``null``; a label that is not exactly a ``str`` (a
-``numpy.str_`` neither), or any string holding a lone surrogate, raises
-:class:`ParseError` too.  Reading accepts any JSON layout of the schema.
+write NaN and inf as ``null``; any string holding a lone surrogate raises
+:class:`ParseError` too.  (A label that is not exactly a ``str``, a
+``numpy.str_`` neither, never gets this far: ``MultiframeDataset`` refuses it
+with :class:`InputError`.)  Reading accepts any JSON layout of the schema.
 
 Top-level keys: ``regime`` (``orthographic`` or ``perspective_calibrated``),
 ``frames`` (each with ``id``, ``points`` and optional ``curves``), optional

@@ -1,11 +1,27 @@
 """Degrees-of-freedom balances and feasibility verdicts per projection regime.
 
-The balance compares unknown degrees of freedom against two coordinates of
-information per traced feature per frame.  All arithmetic is exact integer
-arithmetic.  On top of the raw balance the module applies hard overrides
-for configurations known to be unrecoverable even when the balance closes,
-plus one recorded claim (three uncalibrated frames) kept distinct from the
-proven cases.
+One balance serves every regime.  ``p`` traced points, ``s`` straight lines and
+``k`` frames give
+
+    dof = gauge + 3p + 4s + per_frame * (k - 1)    against    info = 2k (p + s)
+
+A point has 3 unknown coordinates and a line 4; every feature gives 2 image
+coordinates per frame (a line its direction and offset).  ``(gauge, per_frame)``
+is, per regime:
+
+- orthographic ``(-1, 5)``: the common depth is unobservable, and a frame's
+  translation along its viewing direction has no image effect;
+- calibrated perspective ``(-1, 6)``: the global scale is unrecoverable, and a
+  frame's motion has 6 parameters;
+- uncalibrated perspective ``(2, 9)``, points only: the first frame's focal point
+  adds 3 to the -1 of scale, and every further frame moves both the body (6)
+  and the focal point (3).
+
+All arithmetic is exact integer arithmetic.  On top of the balance,
+``_override`` applies the configurations known to be unrecoverable even when
+the balance closes, plus one recorded claim (three uncalibrated frames) kept
+distinct from the proven cases.  ``tests/test_dof.py`` checks the verdicts against
+the rank of the imaging model's Jacobian.
 """
 
 from __future__ import annotations
@@ -23,21 +39,11 @@ class Regime(Enum):
     PERSPECTIVE_UNCALIBRATED = "perspective_uncalibrated"
 
 
-@dataclass(frozen=True)
-class FeatureCount:
-    """Traced feature census: ``p`` points, ``s`` straight lines, ``k`` frames."""
-
-    p: int
-    s: int
-    k: int
-
-    def __post_init__(self):
-        if self.p < 0 or self.s < 0:
-            raise InputError("feature counts must be nonnegative")
-        if self.p + self.s < 1:
-            raise InputError("at least one traced feature is required")
-        if self.k < 1:
-            raise InputError("at least one frame is required")
+_BALANCE = {
+    Regime.ORTHOGRAPHIC: (-1, 5),
+    Regime.PERSPECTIVE_CALIBRATED: (-1, 6),
+    Regime.PERSPECTIVE_UNCALIBRATED: (2, 9),
+}
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,8 @@ class DofVerdict:
     info: int
     balanced: str
     feasible: bool
-    override_reason: str | None = None
-    by_claim: bool = False
+    override_reason: str | None
+    by_claim: bool
 
     @property
     def status(self) -> str:
@@ -73,118 +79,62 @@ class DofVerdict:
         return line
 
 
-def _comparison(dof: int, info: int) -> str:
-    return "<" if dof < info else ("=" if dof == info else ">")
-
-
-def dof_orthographic(c: FeatureCount) -> DofVerdict:
-    """Balance for orthographic projection.
-
-    Unknowns: 3 per point, 4 per line, minus 1 for the unobservable common
-    depth, plus 5 per extra frame (normal translation has no image effect).
-    Overrides: two frames are never sufficient, and point-only bodies need
-    at least 3 frames and 3 points.
-    """
-    dof = -1 + 3 * c.p + 4 * c.s + 5 * (c.k - 1)
-    info = c.k * (2 * c.p + 2 * c.s)
-    reason = None
-    feasible = dof <= info
-    if c.k == 2:
-        feasible = False
-        reason = (
-            "two orthographic frames never determine structure: each point beyond "
-            "the third can be assigned an arbitrary depth line in the second frame"
-        )
-    elif c.s == 0 and (c.k < 3 or c.p < 3):
-        feasible = False
-        reason = "orthographic recovery needs at least 3 frames and 3 traced points"
-    return DofVerdict(
-        Regime.ORTHOGRAPHIC, c.p, c.s, c.k, dof, info, _comparison(dof, info), feasible, reason
-    )
-
-
-def dof_perspective_calibrated(c: FeatureCount) -> DofVerdict:
-    """Balance for perspective projection with a known, fixed focal point.
-
-    Unknowns: 3 per point, 4 per line, minus 1 for the unrecoverable global
-    scale, plus 6 per extra frame.  No overrides: the raw balance is sharp.
-    """
-    dof = -1 + 3 * c.p + 4 * c.s + 6 * (c.k - 1)
-    info = c.k * (2 * c.p + 2 * c.s)
-    return DofVerdict(
-        Regime.PERSPECTIVE_CALIBRATED,
-        c.p,
-        c.s,
-        c.k,
-        dof,
-        info,
-        _comparison(dof, info),
-        dof <= info,
-    )
-
-
-def dof_uncalibrated(p: int, k: int) -> DofVerdict:
-    """Balance for an unknown, moving focal point (points only).
-
-    Unknowns: 3 per point, minus 1 for scale, plus 3 for the first focal
-    point, plus 9 per extra frame (plane motion and focal motion).
-    Overrides: two frames never suffice; four or fewer points never
-    suffice; three frames are recorded as insufficient by claim.
-    """
-    if p < 1:
-        raise InputError("at least one traced point is required")
-    if k < 1:
-        raise InputError("at least one frame is required")
-    dof = -1 + 3 * p + 3 + 9 * (k - 1)
-    info = 2 * k * p
-    feasible = dof <= info
-    reason = None
-    by_claim = False
-    if p <= 4:
-        feasible = False
-        reason = (
-            "with four or fewer traced points the unknowns outnumber the "
-            "measurements for every frame count"
-        )
-    elif k == 2:
-        feasible = False
-        reason = (
-            "two uncalibrated frames never determine structure: each point beyond "
-            "the seventh adds no constraint"
-        )
-    elif k == 3:
-        # distinct state: the balance may close, but three frames are held
-        # insufficient as a claim, not merged with the proven cases
-        if feasible:
-            by_claim = True
-            reason = (
+def _override(regime: Regime, p: int, s: int, k: int, closes: bool):
+    """``(feasible, reason, by_claim)``: ``closes`` (``dof <= info``) unless a
+    known configuration overrides it."""
+    if regime is Regime.ORTHOGRAPHIC:
+        if k == 2:
+            return False, (
+                "two orthographic frames never determine structure: each point beyond "
+                "the third can be assigned an arbitrary depth line in the second frame"
+            ), False
+        if p == 2 and s == 1:
+            return False, (
+                "two points and one line never determine orthographic structure: scenes "
+                "that differ in the points' separation along the line, each with its "
+                "own motions, give the same images in every frame"
+            ), False
+        if s == 0 and (k < 3 or p < 3):
+            return False, "orthographic recovery needs at least 3 frames and 3 traced points", False
+    elif regime is Regime.PERSPECTIVE_UNCALIBRATED:
+        if p <= 4:
+            return False, (
+                "with four or fewer traced points the unknowns outnumber the "
+                "measurements for every frame count"
+            ), False
+        if k == 2:
+            return False, (
+                "two uncalibrated frames never determine structure: each point beyond "
+                "the seventh adds no constraint"
+            ), False
+        if k == 3:
+            # where the balance closes, three frames are held insufficient as a
+            # claim, kept distinct from the proven cases
+            claim = (
                 "three uncalibrated frames admit distinct spatial arrangements "
                 "consistent with the same images (claimed, with a proof sketch only)"
             )
-        feasible = False
-    return DofVerdict(
-        Regime.PERSPECTIVE_UNCALIBRATED,
-        p,
-        0,
-        k,
-        dof,
-        info,
-        _comparison(dof, info),
-        feasible,
-        reason,
-        by_claim,
-    )
+            return False, claim if closes else None, closes
+    return closes, None, False
 
 
 def dof_verdict(regime: Regime, p: int, s: int, k: int) -> DofVerdict:
-    """Single-call dispatch used by the CLI and the table builder."""
-    if regime is Regime.ORTHOGRAPHIC:
-        return dof_orthographic(FeatureCount(p, s, k))
-    if regime is Regime.PERSPECTIVE_CALIBRATED:
-        return dof_perspective_calibrated(FeatureCount(p, s, k))
-    if s != 0:
+    """The balance of ``p`` points, ``s`` lines and ``k`` frames under ``regime``,
+    with its overrides.  The uncalibrated regime takes points only."""
+    if regime is Regime.PERSPECTIVE_UNCALIBRATED and s != 0:
         raise InputError("the uncalibrated regime supports points only (s must be 0)")
-    return dof_uncalibrated(p, k)
+    if p < 0 or s < 0:
+        raise InputError("feature counts must be nonnegative")
+    if p + s < 1:
+        raise InputError("at least one traced feature is required")
+    if k < 1:
+        raise InputError("at least one frame is required")
+    gauge, per_frame = _BALANCE[regime]
+    dof = gauge + 3 * p + 4 * s + per_frame * (k - 1)
+    info = 2 * k * (p + s)
+    balanced = "<" if dof < info else ("=" if dof == info else ">")
+    verdict = _override(regime, p, s, k, dof <= info)
+    return DofVerdict(regime, p, s, k, dof, info, balanced, *verdict)
 
 
 def verdict_table(
@@ -194,7 +144,5 @@ def verdict_table(
     k_range: range | list[int],
 ) -> list[DofVerdict]:
     """One verdict per (p, s, k) combination, in lexicographic order."""
-    return [
-        dof_verdict(regime, p, s, k)
-        for p, s, k in itertools.product(p_range, s_range, k_range)
-    ]
+    cells = itertools.product(p_range, s_range, k_range)
+    return [dof_verdict(regime, p, s, k) for p, s, k in cells]

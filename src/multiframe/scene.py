@@ -125,6 +125,9 @@ class MultiframeDataset:
         if not self.frames:
             raise InputError("dataset needs at least one frame")
         labels = tuple(self.labels)
+        for label in labels:
+            if type(label) is not str:
+                raise InputError(f"label {label!r} is {type(label).__name__}, not str")
         if list(labels) != sorted(set(labels)):
             raise InputError("labels must be distinct and sorted")
         points = np.asarray(self.points, dtype=float)

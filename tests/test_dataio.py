@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from multiframe import dataio
 from multiframe.dataio import _parse_vec, read_dataset, write_dataset
 from multiframe.dof import Regime
-from multiframe.errors import ParseError
+from multiframe.errors import InputError, ParseError
 from multiframe.persp2f import two_frame_reconstruct
 from multiframe.geometry import RigidMotion
 from multiframe.scene import (
@@ -561,19 +561,29 @@ class TestWriteLabels:
         assert write_dataset(back) == blob
 
     @pytest.mark.parametrize(
-        "labels, cause",
+        "labels, error, cause",
         [
-            ((1, 2), "Dict key must be str"),
-            ((np.str_("a"),), "Dict key must be str"),  # orjson takes no str subclass
-            (("\ud800",), "surrogates not allowed"),
+            ((1, 2), InputError, "label 1 is int, not str"),
+            ((np.str_("a"),), InputError, "is str_, not str"),
+            (("\ud800",), ParseError, "cannot be serialized: .*surrogates not allowed"),
         ],
         ids=["integers", "numpy-str", "lone-surrogate"],
     )
-    def test_unwritable_label_is_a_parse_error(self, labels, cause):
+    def test_unwritable_label_is_a_parse_error(self, labels, error, cause):
+        """A label that is not exactly a ``str`` is refused where the dataset is made;
+        a ``str`` that orjson cannot encode, where it is written."""
         points = np.zeros((1, len(labels), 2))
-        ds = MultiframeDataset(Regime.ORTHOGRAPHIC, labels, points, [FrameObs(0, [])])
-        with pytest.raises(ParseError, match=f"cannot be serialized: .*{cause}"):
-            write_dataset(ds)
+
+        def make():
+            return MultiframeDataset(Regime.ORTHOGRAPHIC, labels, points, [FrameObs(0, [])])
+
+        if error is InputError:
+            with pytest.raises(InputError, match=cause):
+                make()
+        else:
+            ds = make()
+            with pytest.raises(ParseError, match=cause):
+                write_dataset(ds)
 
     def test_no_labels(self):
         ds = MultiframeDataset(
