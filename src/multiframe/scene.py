@@ -10,18 +10,24 @@ A :class:`MultiframeDataset` holds a sorted ``labels`` tuple and one
 ``(k, n, 2)`` array ``points``, row ``j`` of frame ``i`` imaging
 ``labels[j]``; each :class:`FrameObs` keeps a frame's id and curves.  A
 ``PERSPECTIVE_UNCALIBRATED`` dataset, which no solver reads, is refused.
+
+Set-up cost: a render makes one product per frame and one projection product
+for all frames; a cloud keeps its points in a grid, so a draw is compared with
+its neighbours only; checks of one 3-vector or motion work on Python floats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dof import Regime
 from .errors import DegenerateProjection, GenerationError, InputError
-from .geometry import CameraPose, RigidMotion, Rotation, project_points
+from .geometry import CameraPose, RigidMotion, Rotation, _finite3, _norm, cross, project_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +42,8 @@ class CurveSpec:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] < 2:
             raise InputError("curve needs >= 2 samples of shape (n, 3)")
+        if not np.isfinite(s).all():
+            raise InputError(f"curve {self.id!r} samples must be finite")
         object.__setattr__(self, "samples", s)
 
 
@@ -47,14 +55,21 @@ class SceneSpec:
     curves: list[CurveSpec] = field(default_factory=list)
 
     def __post_init__(self):
-        pts = {k: np.asarray(v, dtype=float) for k, v in self.points.items()}
-        if len(pts) < 1:
+        if not self.points:
             raise InputError("scene needs at least one labeled point")
+        _check_labels(self.points)
+        try:
+            xyz = np.array(list(self.points.values()), dtype=float)
+        except ValueError:  # points of different shapes
+            xyz = np.empty(0)
+        if xyz.shape != (len(self.points), 3) or not np.isfinite(xyz).all():
+            for label, p in self.points.items():  # raises on the first bad point
+                _finite3(p, f"point {label!r}")
+        pts = dict(zip(self.points, xyz))
         labels = sorted(pts)
         if len(labels) >= 3:
             a, b, c = (pts[l] for l in labels[:3])
-            area = np.linalg.norm(np.cross(b - a, c - a))
-            if area < 1e-12:
+            if _norm(cross(b - a, c - a)) < 1e-12:
                 raise InputError("first three labeled points are collinear")
         for curve in self.curves:
             for lab in curve.endpoint_labels:
@@ -83,9 +98,10 @@ class MotionScript:
         if not self.motions:
             raise InputError("script needs at least one frame")
         first = self.motions[0]
-        if not np.allclose(first.rotation.matrix, np.eye(3)) or not np.allclose(
-            first.translation, 0.0
-        ):
+        got = first.rotation.matrix.ravel().tolist() + first.translation.tolist()
+        eye = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)  # R's rows, then t
+        # np.allclose's test on floats, NaN failing: |a - b| <= atol + rtol |b|
+        if not all(abs(a - b) <= 1e-8 + 1e-5 * b for a, b in zip(got, eye)):
             raise InputError("first motion must be the identity (reference frame)")
 
     @property
@@ -125,9 +141,7 @@ class MultiframeDataset:
         if not self.frames:
             raise InputError("dataset needs at least one frame")
         labels = tuple(self.labels)
-        for label in labels:
-            if type(label) is not str:
-                raise InputError(f"label {label!r} is {type(label).__name__}, not str")
+        _check_labels(labels)
         if list(labels) != sorted(set(labels)):
             raise InputError("labels must be distinct and sorted")
         points = np.asarray(self.points, dtype=float)
@@ -147,6 +161,12 @@ class MultiframeDataset:
         return len(self.frames)
 
 
+def _check_labels(labels) -> None:
+    for label in labels:
+        if type(label) is not str:
+            raise InputError(f"label {label!r} is {type(label).__name__}, not str")
+
+
 def _pose_for_regime(regime: Regime) -> CameraPose:
     if regime is Regime.ORTHOGRAPHIC:
         return CameraPose.canonical_orthographic()
@@ -159,50 +179,40 @@ def _moved(points: np.ndarray, motion: RigidMotion) -> np.ndarray:
     return (motion.rotation.matrix @ points[..., None])[..., 0] + motion.translation
 
 
-def _images(points: np.ndarray, pose: CameraPose, motion: RigidMotion, where):
-    """Images of ``(n, 3)`` points moved by ``motion``; ``where(row)`` names a failed one."""
-    try:
-        return project_points(_moved(points, motion), pose)[0]
-    except DegenerateProjection as exc:
-        raise GenerationError(f"{where(exc.index)}: {exc}") from exc
-
-
 def render(scene: SceneSpec, script: MotionScript, regime: Regime) -> MultiframeDataset:
     """Project every labeled point and curve sample into every frame.
 
     The script's object motions move the scene in front of the regime's
-    canonical camera, one projection product per frame for the points (in
-    scene order, then permuted into sorted label order) and one per curve.
-    The truth block always rides along.  A point or curve sample at or
-    behind the focal plane raises :class:`GenerationError` naming the frame
-    and the label, or the frame, the curve id and the sample index.
+    canonical camera, one product per frame; one projection product images
+    every frame's points (in scene order, then permuted into sorted label
+    order) and curve samples.  The truth block always rides along.  A point
+    or sample at or behind the focal plane raises :class:`GenerationError`
+    naming the frame and the label, or the frame, curve id and sample index.
     """
     labels = list(scene.points)
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    xyz = np.array(list(scene.points.values()))
-    pose = _pose_for_regime(regime)
-    points = np.empty((script.n_frames, len(labels), 2))
-    frames = []
-    for i, motion in enumerate(script.motions):
-        pts = _images(xyz, pose, motion, lambda k: f"frame {i + 1}, point {labels[k]!r}")
-        points[i] = pts[order]
-        curves = [
-            {
-                "id": c.id,
-                "samples": _images(
-                    c.samples, pose, motion, lambda k: f"frame {i + 1}, curve {c.id!r}, sample {k}"
-                ),
-                "endpoints": list(c.endpoint_labels),
-            }
-            for c in scene.curves
-        ]
-        frames.append(FrameObs(i + 1, curves))
+    xyz = np.concatenate([list(scene.points.values())] + [c.samples for c in scene.curves])
+    # where the points, then each curve, end in a frame's block of rows
+    ends = np.cumsum([len(labels)] + [len(c.samples) for c in scene.curves]).tolist()
+    moved = np.concatenate([_moved(xyz, m) for m in script.motions])
+    try:
+        images = project_points(moved, _pose_for_regime(regime))[0].reshape(-1, len(xyz), 2)
+    except DegenerateProjection as exc:  # the first bad row: the per-frame order's first
+        i, row = divmod(exc.index, len(xyz))
+        j = int(np.searchsorted(ends, row, side="right"))  # 0: a point, else curve j - 1
+        c = scene.curves[j - 1] if j else None
+        where = f"curve {c.id!r}, sample {row - ends[j - 1]}" if j else f"point {labels[row]!r}"
+        raise GenerationError(f"frame {i + 1}, {where}: {exc}") from exc
+    frames = [FrameObs(i + 1, []) for i in range(script.n_frames)]
+    for c, a, b in zip(scene.curves, ends, ends[1:]):
+        for f, im in zip(frames, images):
+            f.curves.append({"id": c.id, "samples": im[a:b], "endpoints": list(c.endpoint_labels)})
     truth = TruthBlock(
         dict(scene.points),
         motions=list(script.motions),
         curves3d=[{"id": c.id, "samples": c.samples.copy()} for c in scene.curves],
     )
-    return MultiframeDataset(regime, [labels[j] for j in order], points, frames, truth)
+    return MultiframeDataset(regime, [labels[j] for j in order], images[:, order], frames, truth)
 
 
 def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset:
@@ -325,7 +335,7 @@ def truth_poses(dataset: MultiframeDataset, frame_idx: int) -> CameraPose:
 
 def _random_rotation(rng) -> Rotation:
     axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
+    axis /= _norm(axis)
     return Rotation.from_axis_angle(axis, rng.uniform(0.3, 2.2))
 
 
@@ -334,8 +344,8 @@ def random_triangle_scene(seed: int) -> SceneSpec:
     rng = np.random.default_rng(seed)
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(3, 3))
-        area = np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
-        sides = [np.linalg.norm(pts[i] - pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
+        area = _norm(cross(pts[1] - pts[0], pts[2] - pts[0]))
+        sides = [_norm(pts[i] - pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
         if area > 0.35 and min(sides) > 0.4:
             break
     return SceneSpec({"P": pts[0], "Q": pts[1], "R": pts[2]})
@@ -349,31 +359,45 @@ CLOUD_SPREAD = 0.7
 CLOUD_CENTER = np.array([0.0, 0.0, 3.0])
 
 
+_NEIGHBOURS = list(itertools.product((-1, 0, 1), repeat=3))
+
+
 def random_cloud_scene(seed: int, n_points: int = 10) -> SceneSpec:
     """Labeled point cloud in the cube of half-width 1 around ``CLOUD_CENTER``.
 
     Uniform draws are kept when they lie farther than the separation from
-    every point kept before (the distance is the 1-D ``np.linalg.norm``'s,
-    one dot per row).
+    every point kept before (the distance is ``sqrt(dx dx + dy dy + dz dz)``
+    of the differences, as ``np.linalg.norm`` rounds it).  Kept points sit in
+    cubic cells of side twice the separation, keyed by ``floor(coord / side)``,
+    so a draw is compared only with the points of the 27 cells around its own:
+    any point of another cell lies farther away than the separation, and every
+    decision is the one a scan of all kept points makes.
     """
+    if not isinstance(n_points, numbers.Integral) or n_points < 1:
+        raise InputError(f"n_points must be an integer >= 1, not {n_points!r}")
     rng = np.random.default_rng(seed)
     sep = min(0.15, CLOUD_SPREAD * n_points ** (-1 / 3))
-    pts = np.empty((n_points, 3))
-    k = 0
-    while k < n_points:
-        p = CLOUD_CENTER + rng.uniform(-1.0, 1.0, size=3)
-        d = pts[:k] - p
-        d = d[np.abs(d[:, 0]) <= 2 * sep]  # the others are farther along x alone
-        if (np.sqrt((d[:, None] @ d[:, :, None]).ravel()) > sep).all():
-            pts[k] = p
-            k += 1
-    if n_points >= 3 and np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
+    side = 2 * sep
+    cells: dict[tuple[int, int, int], list[list[float]]] = {}
+    kept = []
+    while len(kept) < n_points:
+        p = x, y, z = (CLOUD_CENTER + rng.uniform(-1.0, 1.0, size=3)).tolist()
+        i, j, k = math.floor(x / side), math.floor(y / side), math.floor(z / side)
+        near = (q for a, b, c in _NEIGHBOURS for q in cells.get((i + a, j + b, k + c), ()))
+        squares = ((u - x) * (u - x) + (v - y) * (v - y) + (w - z) * (w - z) for u, v, w in near)
+        if all(math.sqrt(d2) > sep for d2 in squares):
+            cells.setdefault((i, j, k), []).append(p)
+            kept.append(p)
+    pts = np.array(kept)
+    if n_points >= 3 and _norm(cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
         return random_cloud_scene(seed + 100_003, n_points)
     return SceneSpec({f"p{i:02d}": p for i, p in enumerate(pts)})
 
 
 def random_arc_scene(seed: int, n_samples: int = 100) -> SceneSpec:
     """Circular 3-D arc plus a labeled cloud; arc endpoints are traced."""
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise InputError(f"n_samples must be an integer >= 2, not {n_samples!r}")
     rng = np.random.default_rng(seed)
     cloud = random_cloud_scene(seed + 7, n_points=10)
     c = CLOUD_CENTER + rng.uniform(-0.2, 0.2, size=3)

@@ -134,6 +134,33 @@ class TestRender:
         with pytest.raises(GenerationError, match=r"^frame 2, curve 'arc', sample 2: "):
             render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
 
+    def test_first_bad_row_of_any_frame_named_as_per_frame_loop(self):
+        # frame 3 moves 'c' and 'a' behind the camera; 'c' comes first in scene order
+        scene = SceneSpec({"d": vec3(0, 0, 5), "c": vec3(1, 0, 3), "a": vec3(0, 1, 3.1)})
+        back, behind = (RigidMotion(Rotation.identity(), vec3(0, 0, z)) for z in (1, -3.2))
+        script = MotionScript(motions=[RigidMotion.identity(), back, behind])
+        with pytest.raises(GenerationError) as info:
+            render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        assert str(info.value) == "frame 3, point 'c': point at depth -0.2 cannot be projected"
+
+    def test_sample_of_second_curve_named_as_per_frame_loop(self):
+        # frame 2 moves the scene one unit back: the first curve stays in front,
+        # samples 1 and 3 of the second end up behind the camera
+        first = np.array([[0.0, 0, 2], [0.1, 0, 2], [0.2, 0, 2]])
+        second = np.array([[0.0, 1, 2], [0.1, 1, 0.5], [0.2, 1, 2], [0.3, 1, 0.25]])
+        scene = SceneSpec(
+            {"a": first[0], "b": first[-1], "c": second[0], "d": second[-1] + (0, 0, 2)},
+            [CurveSpec("first", first, ("a", "b")), CurveSpec("second", second, ("c", "d"))],
+        )
+        script = MotionScript(
+            motions=[RigidMotion.identity(), RigidMotion(Rotation.identity(), vec3(0, 0, -1))]
+        )
+        with pytest.raises(GenerationError) as info:
+            render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
+        assert str(info.value) == (
+            "frame 2, curve 'second', sample 1: point at depth -0.5 cannot be projected"
+        )
+
     def test_determinism(self):
         a = write_dataset(make_dataset(11))
         b = write_dataset(make_dataset(11))
@@ -344,6 +371,32 @@ class TestCloud:
                 break
             assert np.all(np.linalg.norm(d[near], axis=1) > sep)
 
+    @staticmethod
+    def quadratic_cloud(seed, n_points):
+        """The cloud generator's points by a scan of every kept point per draw, as it
+        was before the grid: the grid's reference, draw for draw and decision for
+        decision.  (That scan also skipped points more than 2 sep away along x,
+        which pass the test anyway.)"""
+        rng = np.random.default_rng(seed)
+        sep = min(0.15, CLOUD_SPREAD * n_points ** (-1 / 3))
+        pts = np.empty((n_points, 3))
+        k = 0
+        while k < n_points:
+            p = np.array([0.0, 0.0, 3.0]) + rng.uniform(-1.0, 1.0, size=3)
+            d = pts[:k] - p
+            if (np.sqrt((d[:, None] @ d[:, :, None]).ravel()) > sep).all():
+                pts[k] = p
+                k += 1
+        if n_points >= 3 and np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])) < 0.05:
+            return TestCloud.quadratic_cloud(seed + 100_003, n_points)
+        return pts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 102, 1000])
+    def test_grid_equals_quadratic_scan(self, n):
+        for seed in range(1, 21):
+            pts = np.array(list(random_cloud_scene(seed, n).points.values()))
+            assert pts.tobytes() == self.quadratic_cloud(seed, n).tobytes(), seed
+
     def test_separation_is_fixed_up_to_101_points(self):
         assert CLOUD_SPREAD * 101 ** (-1 / 3) > 0.15 > CLOUD_SPREAD * 102 ** (-1 / 3)
 
@@ -352,6 +405,40 @@ class TestSpecValidation:
     def test_collinear_first_three_labels_rejected(self):
         with pytest.raises(InputError, match="collinear"):
             SceneSpec({"a": vec3(0, 0, 0), "b": vec3(1, 0, 0), "c": vec3(2, 0, 0)})
+
+    def test_labels_must_be_str(self):
+        with pytest.raises(InputError, match="^label 1 is int, not str$"):
+            SceneSpec({1: [0, 0, 3.0], 2: [1, 0, 3.0], 3: [0, 1, 3.0]})
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0, 2.0], [0.0, np.nan, 3.0], [0.0, 0.0, np.inf], [[0.0, 0.0, 3.0]]]
+    )
+    def test_points_must_be_finite_3_vectors(self, bad):
+        with pytest.raises(InputError, match="^point 'b' must be a finite 3-vector$"):
+            SceneSpec({"a": [0, 0, 3.0], "b": bad, "c": [0, 1, 3.0]})
+
+    def test_curve_samples_must_be_finite(self):
+        samples = np.array([[0.0, 0, 2], [np.nan, 0, 2], [0.2, 0, 2]])
+        with pytest.raises(InputError, match="^curve 'arc' samples must be finite$"):
+            CurveSpec("arc", samples, ("a", "b"))
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "10"])
+    def test_cloud_size_checked(self, n):
+        with pytest.raises(InputError, match="^n_points must be an integer >= 1"):
+            random_cloud_scene(1, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_arc_size_checked(self, n):
+        with pytest.raises(InputError, match="^n_samples must be an integer >= 2"):
+            random_arc_scene(1, n)
+
+    def test_script_first_motion_off_identity_by_allclose_bound(self):
+        near = Rotation.from_axis_angle(vec3(0, 0, 1), 1e-9)
+        MotionScript(motions=[RigidMotion(near, vec3(1e-9, 0, -1e-9))])
+        far = Rotation.from_axis_angle(vec3(0, 0, 1), 1e-7)  # off-diagonal entries 1e-7
+        for motion in (RigidMotion(far, vec3(0, 0, 0)), RigidMotion(near, vec3(0, 1e-7, 0))):
+            with pytest.raises(InputError, match="identity"):
+                MotionScript(motions=[motion])
 
     def test_script_first_motion_must_be_identity(self):
         rot = Rotation.from_axis_angle(vec3(0, 0, 1), 0.3)
