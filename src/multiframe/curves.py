@@ -96,6 +96,8 @@ class ImageCurve:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 2 or s.shape[0] < 2:
             raise InputError("curve needs >= 2 image samples")
+        if not np.isfinite(s).all():
+            raise InputError("curve image samples must be finite")
         # by the step's norm, not its entries: _segments divides by the norm,
         # which is 0 for a step whose square underflows
         if not _row_norms(s[1:] - s[:-1]).all():

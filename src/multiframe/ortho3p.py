@@ -108,8 +108,7 @@ class TriangleSolution:
 
     ``lengths`` are the true edge lengths (|PQ|, |QR|, |RP|); ``patterns`` holds each
     frame's vanishing relation and ``depths`` its (k, 3) depth offsets (dP, dQ, dR), one
-    representative of shift and reflection with dP = 0; ``max_eq4_residual`` is the largest
-    |F_i| over all frames, before the root clamp.  ``below_floor`` is 0 when the root
+    representative of shift and reflection with dP = 0.  ``below_floor`` is 0 when the root
     cleared the largest observed squared lengths; when no root did and this one lay least
     far below them, it is how far, in units of the root's own clamp (so above 1).
     """
@@ -117,7 +116,6 @@ class TriangleSolution:
     lengths: tuple[float, float, float]
     patterns: list[SignPattern]
     depths: np.ndarray
-    max_eq4_residual: float
     below_floor: float
 
 
@@ -257,27 +255,24 @@ def solve_triangle(obs) -> list[TriangleSolution]:
         clamp = max(ROOT_CLAMP, misfit) * h
         short = max(f - v for v, f in zip(x, floor))
         below = 0.0 if short <= clamp else short / clamp
-        candidates.append((misfit, max(map(abs, resid)), x, below))
+        candidates.append((misfit, x, below))
     if len(lengths) > 3:
         candidates = sorted(candidates)[:1]
-    kept = [c for c in candidates if c[3] == 0.0] or [min(candidates, key=operator.itemgetter(3))]
+    kept = [c for c in candidates if c[2] == 0.0] or [min(candidates, key=operator.itemgetter(2))]
     solutions = []
-    for _, worst, x, below in kept:
+    for _, x, below in kept:
         x = [max(v, f) for v, f in zip(x, floor)]
         patterns, depths = frame_sign_pattern(x, lengths, squares)
-        lengths_x = tuple(map(math.sqrt, x))
-        solutions.append(TriangleSolution(lengths_x, patterns, depths, worst * h * h, below))
+        solutions.append(TriangleSolution(tuple(map(math.sqrt, x)), patterns, depths, below))
     return solutions
 
 
-def recover_motions_consistent(
-    obs, solution: TriangleSolution
-) -> list[tuple[RigidMotion, float, bool]]:
+def recover_motions_consistent(obs, solution: TriangleSolution) -> list[tuple[RigidMotion, float]]:
     """Rigid motions carrying frame 1's posed triple onto every frame's, in one fit.
 
-    Returns (motion, residual, reflected) per frame, frame 1's the identity.  Both
-    reflections align to rounding (the mirror is a gauge, see the module docstring),
-    so every frame keeps its representative depths and ``reflected`` is False.
+    Returns (motion, residual) per frame, frame 1's the identity.  Both reflections
+    align to rounding (the mirror is a gauge, see the module docstring), so every
+    frame keeps its representative depths.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (len(solution.depths), 3, 2):
@@ -285,7 +280,7 @@ def recover_motions_consistent(
     # every frame's triangle in view coordinates (u, v, depth)
     posed = np.concatenate((obs, solution.depths[..., None]), axis=2)
     fits = best_fit_motions(posed[0], posed[1:])
-    return [(RigidMotion.identity(), 0.0, False)] + [(m, e, False) for m, e in fits]
+    return [(RigidMotion.identity(), 0.0)] + fits
 
 
 def observations_from_dataset(dataset) -> np.ndarray:

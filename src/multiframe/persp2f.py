@@ -8,7 +8,7 @@ bilinear constraint per correspondence:
 
     (x2, y2, 1) . E . (x1, y1, 1)^T = 0,   E = [t]_x A.
 
-Nine or more correspondences determine E linearly up to scale; the
+Eight or more correspondences determine E linearly up to scale; the
 composite is then factored into rotation/translation-direction candidates
 and the per-point depth systems pick the unique candidate with all depths
 positive (chirality).  Global scale is unrecoverable: the gauge fixes the
@@ -24,14 +24,13 @@ stacked system, and each candidate's vote fills one ``(n, 3, 2)`` array of
 depth systems, whose one batched SVD solves every row before the singular
 ones are masked.  A pure rotation (zero baseline) is reported, not solved;
 its fit runs only when no bearing dot product changes between the frames by
-more than a rotation allows (:func:`_parallax_gap`).  Label-keyed dicts are
-built only for the returned values.
+more than a rotation allows (:func:`_parallax_gap`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +50,7 @@ DEPTH_SINGULAR = 1e-9  # s1 / s0 of a point's depth system: below it, on the bas
 PARALLAX = 3e-7  # a change in bearing dot products that no pure rotation makes
 _W = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # a quarter turn about z
 
-NINE_POINT_MESSAGE = (
-    "nine correspondences are required to solve the composite matrix linearly "
-    "(pass allow_eight=True to accept the 8-point generic minimum)"
-)
+_TOO_FEW = "eight correspondences are required to solve the composite matrix linearly"
 
 
 def bearing(image_points) -> np.ndarray:
@@ -126,24 +122,18 @@ def normalize_distinguished(
     return NormalizedPair(labels, n1, n2, rot1, rot2, distinguished)
 
 
-def solve_composite(
-    corr1: list[np.ndarray],
-    corr2: list[np.ndarray],
-    *,
-    allow_eight: bool = False,
-) -> tuple[np.ndarray, float, float]:
+def solve_composite(corr1: list[np.ndarray], corr2: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Minimum-norm unit-norm solution of the stacked bilinear system.
 
-    Returns (E with unit Frobenius norm, smallest singular value of the
-    stacked system, inconsistency ratio s_min/s_max).  Rank below 8 raises
+    Returns (E with unit Frobenius norm, inconsistency ratio s_min/s_max of the
+    stacked system, 0 for 8 correspondences).  Rank below 8 raises
     :class:`RankDeficientError`.
     """
     n = len(corr1)
     if n != len(corr2):
         raise InputError("correspondence lists differ in length")
-    minimum = 8 if allow_eight else 9
-    if n < minimum:
-        raise InputError(NINE_POINT_MESSAGE)
+    if n < 8:
+        raise InputError(_TOO_FEW)
     rows = np.einsum("ni,nj->nij", bearing(corr2), bearing(corr1)).reshape(n, 9)
     # thin unless fewer than 9 rows: only vt's last row is read, and with 8 rows a
     # thin vt has only 8 (the full U would be n x n)
@@ -153,8 +143,7 @@ def solve_composite(
         raise RankDeficientError("correspondence system has rank below 8")
     e = vt[-1].reshape(3, 3)
     e /= _norm(vt[-1])
-    s_min = s[8] if n >= 9 else 0.0
-    return e, s_min, s_min / s[0] if s[0] > 0 else 0.0
+    return e, s[8] / s[0] if n >= 9 else 0.0  # s[0] > 0: the rank test passed
 
 
 def decompose(
@@ -228,19 +217,19 @@ def recover_depths(
 
 @dataclass(frozen=True, eq=False)
 class MotionEstimate:
-    """Recovered two-frame motion and structure (frame-1 camera coordinates)."""
+    """Recovered two-frame motion and structure (frame-1 camera coordinates).
+
+    Rows of ``depths`` and ``points3d`` follow the dataset's labels; a point on
+    the baseline, which the chirality vote excludes, keeps a NaN row.
+    """
 
     rotation: Rotation
-    translation: np.ndarray | None  # unit direction, None when degenerate
+    translation: np.ndarray | None  # unit direction, None on a zero baseline
     translation_scaled: np.ndarray | None  # gauge: distinguished depth = 1
-    depths: dict[str, tuple[float, float]]
-    points3d: dict[str, np.ndarray]
+    depths: np.ndarray | None  # (n, 2) depths (Z1, Z2) in the gauge, None on a zero baseline
+    points3d: np.ndarray | None  # (n, 3) points in the gauge, None on a zero baseline
     distinguished: str
     baseline_degenerate: bool = False
-    excluded_labels: list[str] = field(default_factory=list)
-    candidates_tried: int = 0
-    survivors: int = 1
-    max_constraint_residual: float = 0.0
 
 
 def _pure_rotation_fit(b1: np.ndarray, b2: np.ndarray) -> tuple[Rotation, float]:
@@ -276,11 +265,7 @@ def _parallax_gap(points: np.ndarray) -> float:
     return np.abs(cos[1] - cos[0]).max()
 
 
-def two_frame_reconstruct(
-    dataset,
-    *,
-    allow_eight: bool = False,
-) -> MotionEstimate:
+def two_frame_reconstruct(dataset) -> MotionEstimate:
     """Full pipeline: normalize, solve, decompose, vote, denormalize; the first label is
     the distinguished point."""
     if dataset.regime is not Regime.PERSPECTIVE_CALIBRATED:
@@ -288,9 +273,8 @@ def two_frame_reconstruct(
     if dataset.n_frames != 2:
         raise InputError("two-frame reconstruction needs exactly 2 frames")
     labels = dataset.labels
-    minimum = 8 if allow_eight else 9
-    if len(labels) < minimum:
-        raise InputError(NINE_POINT_MESSAGE)
+    if len(labels) < 8:
+        raise InputError(_TOO_FEW)
     distinguished = labels[0]
     uv1, uv2 = dataset.points[0], dataset.points[1]
 
@@ -304,12 +288,12 @@ def two_frame_reconstruct(
         # clears that by three times and calls any smaller parallax zero baseline
         if resid < 1e-7:
             return MotionEstimate(
-                rot_fit, None, None, {}, {}, distinguished, baseline_degenerate=True, survivors=0
+                rot_fit, None, None, None, None, distinguished, baseline_degenerate=True
             )
 
     norm = normalize_distinguished(labels, uv1, uv2, distinguished)
     corr1, corr2 = norm.points1, norm.points2
-    e, s_min, inconsistency = solve_composite(corr1, corr2, allow_eight=allow_eight)
+    e, inconsistency = solve_composite(corr1, corr2)
     structure_tol = max(ESSENTIAL_STRUCTURE, 100.0 * inconsistency)
     candidates = decompose(e, structure_tol=structure_tol)
     votes = [recover_depths(a, t, corr1, corr2) for a, t in candidates]
@@ -323,28 +307,18 @@ def two_frame_reconstruct(
     if not (math.isfinite(z_dist) and z_dist > 0):
         raise AmbiguityError("distinguished point depth is unrecoverable")
     scale = 1.0 / z_dist
-    excluded = set(vote.excluded)
-    kept = [i for i in range(len(labels)) if i not in excluded]
-    z = vote.depths[kept] * scale
-    m1, m2 = m = bearing(np.array((corr1, corr2))[:, kept])  # both frames' kept bearings
-    points3d = (z[:, :1] * m1) @ norm.rot1.matrix  # rows R1^T (Z1 m1)
-    lengths = np.sqrt(np.add.reduce(m * m, axis=2))  # as np.linalg.norm computes them
-    residuals = np.abs(np.einsum("ni,ij,nj->n", m2, e, m1)) / (lengths[0] * lengths[1])
+    z = vote.depths * scale  # an excluded point's NaN row stays NaN
+    points3d = (z[:, :1] * bearing(corr1)) @ norm.rot1.matrix  # rows R1^T (Z1 m1)
 
     r2t = norm.rot2.matrix.T
     t_orig = r2t @ t_norm
-    names = [labels[i] for i in kept]
     return MotionEstimate(
         rotation=Rotation(r2t @ a_norm.matrix @ norm.rot1.matrix),
         translation=t_orig,
         translation_scaled=t_orig * scale,
-        depths=dict(zip(names, map(tuple, z.tolist()))),
-        points3d=dict(zip(names, points3d)),
+        depths=z,
+        points3d=points3d,
         distinguished=distinguished,
-        excluded_labels=[labels[i] for i in vote.excluded],
-        candidates_tried=len(candidates),
-        survivors=1,
-        max_constraint_residual=float(residuals.max(initial=0.0)),
     )
 
 

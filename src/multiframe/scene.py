@@ -150,6 +150,10 @@ class MultiframeDataset:
                 f"points of shape {points.shape} do not hold one (u, v) row per frame "
                 f"and label: {len(self.frames)} frames share a label set of {len(labels)}"
             )
+        finite = np.isfinite(points)
+        if not finite.all():
+            i, j, _ = np.argwhere(~finite)[0].tolist()
+            raise InputError(f"frame index {i}: image point of label {labels[j]!r} is not finite")
         motions = self.truth.motions if self.truth is not None else None
         if motions is not None and len(motions) != len(self.frames):
             raise InputError(f"truth holds {len(motions)} motions for {len(self.frames)} frames")
@@ -238,73 +242,6 @@ def add_noise(dataset: MultiframeDataset, noise: NoiseSpec) -> MultiframeDataset
         ]
         frames.append(FrameObs(f.id, curves))
     return MultiframeDataset(dataset.regime, dataset.labels, points, frames, dataset.truth, noise)
-
-
-def validate_general_position(dataset: MultiframeDataset) -> list[str]:
-    """Warnings for configurations that break solver preconditions.
-
-    Flags coincident projections, collinear projected triples, and curve
-    samples whose tangent runs along the epipolar direction (approximate
-    test, needs the truth block).
-    """
-    warnings: list[str] = []
-    labels = dataset.labels
-    for f, frame in zip(dataset.frames, dataset.points):
-        pts = dict(zip(labels, frame))
-        for a, b in itertools.combinations(labels, 2):
-            if np.linalg.norm(pts[a] - pts[b]) < 1e-9:
-                warnings.append(f"frame {f.id}: labels {a!r} and {b!r} project together")
-        for a, b, c in itertools.combinations(labels[: min(len(labels), 8)], 3):
-            u = pts[b] - pts[a]
-            v = pts[c] - pts[a]
-            den = np.linalg.norm(u) * np.linalg.norm(v)
-            if den > 0 and abs(u[0] * v[1] - u[1] * v[0]) < 1e-9 * den:
-                warnings.append(f"frame {f.id}: labels {a!r},{b!r},{c!r} collinear")
-    warnings.extend(_curve_tangency_warnings(dataset))
-    return warnings
-
-
-def _curve_tangency_warnings(dataset: MultiframeDataset) -> list[str]:
-    out: list[str] = []
-    t = dataset.truth
-    if t is None or t.motions is None:
-        return out
-    if dataset.regime is Regime.ORTHOGRAPHIC or not dataset.frames[0].curves:
-        return out
-    # epipolar direction at a sample ~ direction of the projected baseline;
-    # compare against the local curve tangent in every non-reference frame
-    from .curves import epipolar_lines  # local import to avoid a cycle
-
-    ref_curves = {c["id"]: c["samples"] for c in dataset.frames[0].curves}
-    pose_ref = truth_poses(dataset, 0)
-    # frame i's truth is motion i: frames are matched to the truth by position, not id
-    for i, f in enumerate(dataset.frames[1:], start=1):
-        pairs = [
-            (c["id"], ref_curves[c["id"]], c["samples"])
-            for c in f.curves
-            if c["id"] in ref_curves
-            and len(c["samples"]) >= 3
-            and len(ref_curves[c["id"]]) == len(c["samples"])
-        ]
-        if not pairs:
-            continue
-        _, dirs, degenerate = epipolar_lines(
-            np.concatenate([ref[:-1] for _, ref, _ in pairs]),
-            pose_ref,
-            truth_poses(dataset, i),
-        )
-        bounds = np.cumsum([len(s) - 1 for _, _, s in pairs])[:-1]
-        for (cid, _, s), d, bad in zip(pairs, np.split(dirs, bounds), np.split(degenerate, bounds)):
-            tangent = np.diff(s, axis=0)
-            nt = np.linalg.norm(tangent, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sin = np.abs(tangent[:, 0] * d[:, 1] - tangent[:, 1] * d[:, 0]) / nt
-            near = np.flatnonzero((nt >= 1e-12) & ~bad & (sin < 1e-4))
-            if near.size:
-                out.append(
-                    f"frame {f.id}: curve {cid!r} near epipolar tangency at sample {near[0]}"
-                )
-    return out
 
 
 def truth_poses(dataset: MultiframeDataset, frame_idx: int) -> CameraPose:

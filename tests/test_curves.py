@@ -341,6 +341,17 @@ class TestLiftCurve:
         for i in lifted.source_indices:
             assert i not in lifted.flagged
 
+    def test_non_finite_samples_refused(self):
+        # a NaN sample of either curve used to pass, and the lift turned every sample
+        # from it on into a hole
+        ds, _ = arc_dataset(4, n_samples=20)
+        for curve in curves_from_dataset(ds)["arc"]:
+            for bad in (np.nan, np.inf):
+                samples = curve.samples.copy()
+                samples[7, 1] = bad
+                with pytest.raises(InputError, match="samples must be finite"):
+                    ImageCurve(samples)
+
     def test_one_frame_dataset_rejected(self):
         scene = random_arc_scene(11, n_samples=20)
         script = random_motion_script(12, 1, Regime.PERSPECTIVE_CALIBRATED, scene)

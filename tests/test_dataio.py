@@ -237,7 +237,7 @@ class TestLabelSet:
         est, want = two_frame_reconstruct(ds), two_frame_reconstruct(ref)
         assert same_bits(est.rotation.matrix, want.rotation.matrix)
         assert same_bits(est.translation, want.translation)
-        assert est.depths == want.depths
+        assert same_bits(est.depths, want.depths)
 
 
 class TestSampleAcceptance:

@@ -462,8 +462,7 @@ class TestRecoverMotion:
                     first = motions[0][0]
                     assert np.array_equal(first.rotation.matrix, np.eye(3))
                     assert np.array_equal(first.translation, np.zeros(3))
-                    for (motion, resid, reflected), target in zip(motions, posed):
-                        assert reflected is False
+                    for (motion, resid), target in zip(motions, posed):
                         moved = posed[0] @ motion.rotation.matrix.T + motion.translation
                         assert np.abs(moved - target).max() < 1e-12 * scale
                         assert resid < 1e-12 * scale

@@ -53,7 +53,6 @@ def test_third_party_imports_are_declared():
 PERFBENCH = PYPROJECT.parent / "perfbench"
 # public names that nothing references yet, each with the reason it stays
 UNREFERENCED = {
-    "validate_general_position": "the planned solve report (ROADMAP item 5) is to call it",
     "describe": "DofVerdict.describe: the planned `verdict` command (ROADMAP item 5) prints it",
 }
 
@@ -135,17 +134,24 @@ def test_every_public_definition_is_used():
 
 # defaulted parameters that no package or benchmark call sets, each with the reason it stays
 UNSET = {
-    "two_frame_reconstruct.allow_eight": "ROADMAP item 9 deletes it with the 9-point rule",
     "DegenerateProjection.__init__.index": "set through the class: DegenerateProjection(msg, k)",
 }
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list
+    )
+
+
 def _defaulted(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
     """``(name, qualified name, parameter, position)`` of every defaulted parameter of a
-    public top-level function or of a method of a public top-level class.  ``position``
-    is the parameter's index among a call's positional arguments (a method's ``self`` or
-    ``cls`` not counted: the package has no static method), None for a keyword-only
-    parameter."""
+    public top-level function or of a method of a public top-level class, and of every
+    defaulted field of a public top-level dataclass, read from the class body's annotated
+    assignments (the package's dataclasses have no ``ClassVar``, ``init=False`` or
+    keyword-only field), under the class's own name.  ``position`` is the parameter's
+    index among a call's positional arguments (a method's ``self`` or ``cls`` not counted:
+    the package has no static method), None for a keyword-only parameter."""
     out = []
     for top in tree.body:
         if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
@@ -154,6 +160,13 @@ def _defaulted(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
         if isinstance(top, ast.ClassDef):
             methods = [node for node in top.body if isinstance(node, ast.FunctionDef)]
             defs = [(fn, f"{top.name}.{fn.name}", 1) for fn in methods]
+            if _is_dataclass(top):
+                fields = [node for node in top.body if isinstance(node, ast.AnnAssign)]
+                out += [
+                    (top.name, top.name, node.target.id, i)
+                    for i, node in enumerate(fields)
+                    if node.value is not None
+                ]
         for fn, qualified, skip in defs:
             a = fn.args
             positional = a.posonlyargs + a.args
@@ -185,22 +198,13 @@ def _calls(node: ast.AST, enclosing: frozenset = frozenset()) -> list:
     return out
 
 
-def test_every_default_is_set_by_some_caller():
-    """Every defaulted parameter of a public function, or of a method of a public class,
-    is set by some call in the package or the benchmark, by keyword or by position: a
-    default no caller overrides is an option with one value in use, which is better a
-    constant.  Calls are matched by name alone; a function's calls to itself do not count."""
-    calls = [
-        call
-        for path in sorted(SOURCE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-        for call in _calls(ast.parse(path.read_text(), str(path)))
-    ]
-    params = [
-        (path.stem, *param)
-        for path in sorted(SOURCE.glob("*.py"))
-        for param in _defaulted(ast.parse(path.read_text(), str(path)))
-    ]
-    assert len(params) > 3, "too few defaulted parameters found: is SOURCE right?"
+def _unset(modules: dict[str, ast.Module], callers: list[ast.Module]) -> tuple[list, set]:
+    """The defaulted parameters and dataclass fields of ``modules`` (``{stem: tree}``)
+    that no call in ``callers`` sets, by keyword or by position, as ``module.qualified(
+    param=)``, less those in ``UNSET``; and every ``qualified.param`` found.  Calls are
+    matched by name alone; a function's calls to itself do not count."""
+    calls = [call for tree in callers for call in _calls(tree)]
+    params = [(stem, *param) for stem, tree in modules.items() for param in _defaulted(tree)]
 
     def sets(call, name, param, position):
         called, n_positional, keys, enclosing = call
@@ -214,5 +218,37 @@ def test_every_default_is_set_by_some_caller():
         if f"{qualified}.{param}" not in UNSET
         and not any(sets(call, name, param, position) for call in calls)
     ]
+    return unset, {f"{qualified}.{param}" for _, _, qualified, param, _ in params}
+
+
+def test_every_default_is_set_by_some_caller():
+    """Every defaulted parameter of a public function, or of a method of a public class,
+    and every defaulted field of a public dataclass, is set by some call in the package or
+    the benchmark: a default no caller overrides is an option with one value in use, which
+    is better a constant."""
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SOURCE.glob("*.py"))}
+    callers = list(modules.values()) + [
+        ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))
+    ]
+    unset, found = _unset(modules, callers)
+    assert len(found) > 3, "too few defaulted parameters found: is SOURCE right?"
     assert not unset, f"defaulted parameters that no package or benchmark call sets: {unset}"
-    assert UNSET.keys() <= {f"{qualified}.{param}" for _, _, qualified, param, _ in params}
+    assert UNSET.keys() <= found
+
+
+def test_unset_dataclass_field_flagged():
+    module = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    size: int\n"
+        "    seed: int = 0\n"
+        "    tags: list = field(default_factory=list)\n"
+    )
+    calls = {
+        "Spec(3)": ["spec.Spec(seed=)", "spec.Spec(tags=)"],
+        "Spec(3, 1)": ["spec.Spec(tags=)"],
+        "Spec(3, tags=[])": ["spec.Spec(seed=)"],
+        "Spec(3, 1, [])": [],
+    }
+    for call, want in calls.items():
+        assert _unset({"spec": module}, [module, ast.parse(call)])[0] == want, call

@@ -27,6 +27,7 @@ from multiframe.persp2f import (
 from multiframe.scene import (
     MotionScript,
     NoiseSpec,
+    SceneSpec,
     add_noise,
     random_cloud_scene,
     random_motion_script,
@@ -152,34 +153,36 @@ class TestSolveComposite:
     def test_recovers_truth_up_to_sign(self):
         ds = make_scene(5)
         c1, c2 = ds.points[:, :9]
-        e, s_min, _ = solve_composite(c1, c2)
+        e, inconsistency = solve_composite(c1, c2)
         e_true = truth_composite(ds)
         if np.sum(e * e_true) < 0:
             e = -e
         assert np.linalg.norm(e - e_true) < 1e-8
-        assert s_min < 1e-10
+        # s_min / s_max; s_max is about 3 here, so this holds s_min under 1e-10
+        assert inconsistency < 1e-12
 
     def test_identical_points_rank_error(self):
         p = [np.array([0.1, 0.2])] * 9
         with pytest.raises(RankDeficientError):
             solve_composite(p, p)
 
-    def test_eight_points_need_override(self):
+    def test_eight_points_solve_seven_refused(self):
         ds = make_scene(6)
         c1, c2 = ds.points[:, :8]
-        with pytest.raises(InputError, match="ine"):
-            solve_composite(c1, c2)
-        e, _, _ = solve_composite(c1, c2, allow_eight=True)
+        e, inconsistency = solve_composite(c1, c2)
         e_true = truth_composite(ds)
         if np.sum(e * e_true) < 0:
             e = -e
         assert np.linalg.norm(e - e_true) < 1e-7
+        assert inconsistency == 0.0  # 8 rows leave no ninth singular value
+        with pytest.raises(InputError, match="eight"):
+            solve_composite(c1[:7], c2[:7])
 
     def test_noisy_points_keep_small_residuals(self):
         ds = make_scene(7, n_points=20)
         noisy = add_noise(ds, NoiseSpec(1e-4, seed=8))
         c1, c2 = noisy.points
-        e, _, _ = solve_composite(c1, c2)
+        e, _ = solve_composite(c1, c2)
         for p1, p2 in zip(c1, c2):
             assert abs(bearing(p2) @ e @ bearing(p1)) < 1e-3
 
@@ -234,7 +237,7 @@ class TestRecoverDepths:
         labels = ds.labels
         norm = normalize_distinguished(labels, ds.points[0], ds.points[1], labels[0])
         c1, c2 = norm.points1, norm.points2
-        e, _, _ = solve_composite(c1, c2)
+        e, _ = solve_composite(c1, c2)
         votes = [recover_depths(a, t, c1, c2) for a, t in decompose(e)]
         assert sum(v.accepted for v in votes) == 1
 
@@ -243,7 +246,7 @@ class TestRecoverDepths:
         labels = ds.labels
         norm = normalize_distinguished(labels, ds.points[0], ds.points[1], labels[0])
         c1, c2 = norm.points1, norm.points2
-        e, _, _ = solve_composite(c1, c2)
+        e, _ = solve_composite(c1, c2)
         cands = decompose(e)
         votes = [recover_depths(a, t, c1, c2) for a, t in cands]
         winner = next(i for i, v in enumerate(votes) if v.accepted)
@@ -352,17 +355,15 @@ class TestTwoFrameReconstruct:
             rot_true, t_true = relative_truth_motion(ds)
             assert est.rotation.angle_to(rot_true) < 1e-6
             assert angle_between(est.translation, t_true) < 1e-6
-            assert est.survivors == 1 and not est.baseline_degenerate
-            assert all(z1 > 0 and z2 > 0 for z1, z2 in est.depths.values())
-            # structure matches truth after the distinguished-depth gauge
-            d = est.distinguished
-            true_pts = {
-                lab: ds.truth.points3d[lab] for lab in ds.labels
-            }  # frame 1 = identity motion, camera coords = scene coords
-            gauge = np.linalg.norm(true_pts[d])
-            for lab in ds.labels:
-                err = np.linalg.norm(est.points3d[lab] - true_pts[lab] / gauge)
-                assert err < 1e-6
+            assert not est.baseline_degenerate
+            assert est.depths.shape == (10, 2) and (est.depths > 0).all()
+            # structure matches truth after the distinguished-depth gauge, rows in
+            # label order; frame 1 = identity motion, camera coords = scene coords
+            assert est.distinguished == ds.labels[0]
+            true_pts = np.array([ds.truth.points3d[lab] for lab in ds.labels])
+            gauge = np.linalg.norm(true_pts[0])
+            assert est.points3d.shape == (10, 3)
+            assert np.linalg.norm(est.points3d - true_pts / gauge, axis=1).max() < 1e-6
 
     def test_identity_motion_flags_degenerate_baseline(self):
         scene = random_cloud_scene(31, n_points=10)
@@ -371,7 +372,7 @@ class TestTwoFrameReconstruct:
         est = two_frame_reconstruct(ds)
         assert est.baseline_degenerate
         assert est.rotation.angle_to(Rotation.identity()) < 1e-8
-        assert est.translation is None
+        assert est.translation is None and est.depths is None and est.points3d is None
 
     def test_pure_rotation_flags_degenerate_baseline(self):
         scene = random_cloud_scene(32, n_points=10)
@@ -386,13 +387,13 @@ class TestTwoFrameReconstruct:
         assert est.baseline_degenerate
         assert est.rotation.angle_to(rot) < 1e-8
 
-    def test_eight_points_rejected_without_override(self):
+    def test_eight_points_solve_seven_refused(self):
         ds = make_scene(33, n_points=8)
-        with pytest.raises(InputError, match="[Nn]ine"):
-            two_frame_reconstruct(ds)
-        est = two_frame_reconstruct(ds, allow_eight=True)
+        est = two_frame_reconstruct(ds)
         rot_true, t_true = relative_truth_motion(ds)
         assert est.rotation.angle_to(rot_true) < 1e-6
+        with pytest.raises(InputError, match="eight"):
+            two_frame_reconstruct(make_scene(33, n_points=7))
 
     def test_ten_thousand_points_stay_small(self):
         # the composite SVD is thin: a full one holds an n x n U, 800 MB at this size
@@ -420,8 +421,6 @@ class TestTwoFrameReconstruct:
         scene = random_cloud_scene(seed, n_points=10)
         script = random_motion_script(seed + 1, 2, Regime.PERSPECTIVE_CALIBRATED, scene)
         ds1 = render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
-        from multiframe.scene import SceneSpec
-
         scaled = SceneSpec({k: 2.5 * v for k, v in scene.points.items()})
         script2 = MotionScript(
             motions=[
@@ -431,13 +430,37 @@ class TestTwoFrameReconstruct:
         ds2 = render(scaled, script2, Regime.PERSPECTIVE_CALIBRATED)
         est1 = two_frame_reconstruct(ds1)
         est2 = two_frame_reconstruct(ds2)
-        for lab in ds1.labels:
-            assert np.linalg.norm(est1.points3d[lab] - est2.points3d[lab]) < 1e-8
+        assert np.linalg.norm(est1.points3d - est2.points3d, axis=1).max() < 1e-8
 
     def test_constraint_residual_invariant_bound(self):
+        # max |m2^T E m1| / (|m1| |m2|) over the correspondences, E = [t]_x R of the
+        # returned motion at unit Frobenius norm
         ds = make_scene(42)
         est = two_frame_reconstruct(ds)
-        assert est.max_constraint_residual < 1e-6
+        e = skew(est.translation) @ est.rotation.matrix
+        m1, m2 = bearing(ds.points[0]), bearing(ds.points[1])
+        residuals = np.abs(np.einsum("ni,ij,nj->n", m2, e / np.linalg.norm(e), m1))
+        lengths = np.linalg.norm(m1, axis=1) * np.linalg.norm(m2, axis=1)
+        assert (residuals / lengths).max() < 1e-6
+
+    def test_baseline_point_keeps_nan_row(self):
+        # camera 2's centre sits at c2 in frame-1 coordinates; the point -2.5 c2 lies on
+        # the baseline, in front of both cameras, and images to both epipoles.  Its
+        # label sorts into the middle of the cloud's
+        scene = random_cloud_scene(43, n_points=10)
+        rot = Rotation.from_axis_angle(vec3(0, 1, 0), 0.2)
+        c2 = vec3(0.4, 0.1, -1.0)
+        points = dict(scene.points, p04b=-2.5 * c2)
+        script = MotionScript(motions=[RigidMotion.identity(), RigidMotion(rot, -rot.apply(c2))])
+        ds = render(SceneSpec(points), script, Regime.PERSPECTIVE_CALIBRATED)
+        est = two_frame_reconstruct(ds)
+        rot_true, t_true = relative_truth_motion(ds)
+        assert est.rotation.angle_to(rot_true) < 1e-6
+        j = ds.labels.index("p04b")
+        assert j == 5 and len(ds.labels) == 11
+        for rows in (est.depths, est.points3d):
+            assert np.isnan(rows[j]).all()
+            assert np.isfinite(np.delete(rows, j, axis=0)).all()
 
 
 def pure_rotation_pair(seed, n, angle, delta, j):
@@ -493,8 +516,6 @@ def estimate_bits(est):
             return v.shape, v.tobytes()
         if isinstance(v, Rotation):
             return bits(v.matrix)
-        if isinstance(v, dict):
-            return [(k, bits(x)) for k, x in v.items()]
         if isinstance(v, float):
             return np.float64(v).tobytes()
         return v

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from multiframe.scene import (
     random_triangle_scene,
     render,
     truth_poses,
-    validate_general_position,
 )
 
 
@@ -287,72 +285,6 @@ class TestSerialization:
             assert repr(value).encode() == text  # Python's shortest round-trip repr
 
 
-class TestValidation:
-    def test_generic_scene_is_clean(self):
-        ds = make_dataset(31, Regime.PERSPECTIVE_CALIBRATED)
-        assert validate_general_position(ds) == []
-
-    def test_collinear_triple_flagged(self):
-        # labels picked so the first three sorted labels are fine but the
-        # triple (a, c, d) is collinear
-        scene = SceneSpec(
-            {"a": vec3(0, 0, 3), "b": vec3(0, 1, 3), "c": vec3(0.5, 0, 3), "d": vec3(1.0, 0, 3)}
-        )
-        ds = render(
-            scene,
-            MotionScript(motions=[RigidMotion.identity()]),
-            Regime.PERSPECTIVE_CALIBRATED,
-        )
-        warnings = validate_general_position(ds)
-        assert any("collinear" in w for w in warnings)
-
-    def test_duplicate_projection_flagged(self):
-        scene = SceneSpec(
-            {"a": vec3(0, 0, 2), "b": vec3(1, 0, 2), "c": vec3(0, 1, 2), "d": vec3(0, 0, 4)}
-        )
-        ds = render(
-            scene,
-            MotionScript(motions=[RigidMotion.identity()]),
-            Regime.PERSPECTIVE_CALIBRATED,
-        )
-        warnings = validate_general_position(ds)
-        assert any("project together" in w for w in warnings)
-
-    @staticmethod
-    def epipolar_run_dataset():
-        # the second camera sits 1.5 along +x, so the baseline is the x axis
-        # and the run of samples with constant (y, z) lies in one epipolar
-        # plane; the hook leaves it
-        run = np.stack(
-            [np.linspace(-0.3, 0.3, 20), np.full(20, 0.2), np.full(20, 3.0)], axis=1
-        )
-        hook = np.stack(
-            [np.full(10, 0.3), np.linspace(0.25, 0.7, 10), np.full(10, 3.0)], axis=1
-        )
-        samples = np.concatenate([run, hook])
-        scene = SceneSpec(
-            {"a": samples[0], "b": samples[-1], "c": vec3(0, -0.5, 3.5)},
-            [CurveSpec("run", samples, ("a", "b"))],
-        )
-        script = MotionScript(
-            motions=[RigidMotion.identity(), RigidMotion(Rotation.identity(), vec3(-1.5, 0, 0))]
-        )
-        return render(scene, script, Regime.PERSPECTIVE_CALIBRATED)
-
-    def test_curve_along_epipolar_plane_flagged(self):
-        warnings = validate_general_position(self.epipolar_run_dataset())
-        assert "frame 2: curve 'run' near epipolar tangency at sample 0" in warnings
-
-    @pytest.mark.parametrize("ids", [(7, 8), (2, 1)])
-    def test_frames_matched_to_truth_by_position(self, ids):
-        # frame ids are free in a file: the i-th frame's truth is the i-th motion
-        doc = json.loads(write_dataset(self.epipolar_run_dataset()))
-        for frame, fid in zip(doc["frames"], ids):
-            frame["id"] = fid
-        warnings = validate_general_position(read_dataset(json.dumps(doc)))
-        assert warnings == [f"frame {ids[1]}: curve 'run' near epipolar tangency at sample 0"]
-
-
 class TestCloud:
     def test_ten_thousand_points_return(self):
         n = 10_000
@@ -452,6 +384,15 @@ class TestSpecValidation:
             MultiframeDataset(ds.regime, ds.labels, ds.points[:, 1:], ds.frames, ds.truth)
         with pytest.raises(InputError, match="label set"):
             MultiframeDataset(ds.regime, ds.labels[1:], ds.points, ds.frames, ds.truth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_image_points_must_be_finite(self, bad):
+        ds = make_dataset(34)
+        points = ds.points.copy()
+        points[2, 1, 0] = bad
+        with pytest.raises(InputError) as info:
+            MultiframeDataset(ds.regime, ds.labels, points, ds.frames, ds.truth)
+        assert str(info.value) == "frame index 2: image point of label 'Q' is not finite"
 
     def test_motion_count_must_match_frames(self):
         ds = make_dataset(35)
